@@ -314,7 +314,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_med.add_argument("--j", type=int, default=None, help="intrinsic-volume order for vj")
     p_med.add_argument("--tolerance", type=float, default=1e-8)
     p_med.add_argument("--max-iter", type=int, default=10_000)
-    p_med.add_argument("--multistarts", type=int, default=8)
+    p_med.add_argument(
+        "--multistarts", type=int, default=8,
+        help="Nelder-Mead starts for the polar objective; vj and wills solve from one start",
+    )
     p_med.add_argument("--seed", type=int, required=True)
     p_med.add_argument("--emit-trace", action="store_true")
     p_med.add_argument("--output", default="-")

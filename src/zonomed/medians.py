@@ -6,9 +6,14 @@ j = 1 is the classical L1 (geometric) median, j = d is the Oja simplex-volume
 median, and intermediate j interpolate.  Two further objectives are supplied:
 the Wills functional of Z(x), and the polar-body volume (to be maximized).
 
-Solver choices follow each objective's structure: Weiszfeld iteration for
-j = 1, subgradient descent with exact coordinate refinement for the convex
-piecewise-linear j = d case, and multistart Nelder-Mead everywhere else.
+V_j(Z(x)) sums vol_j(x - x_i : i in S) over the j-subsets S, and each term
+is a face volume times a distance: vol_{j-1}(edges of S) * dist(x, aff S).
+A distance to a flat is convex in x, so every V_j objective and the Wills
+functional 1 + sum_j V_j are convex.  j = 1 is solved by Weiszfeld
+iteration.  Every other V_j and the Wills functional go through one solver:
+the face forms (a_S, w_S, N_S) are computed once, and a damped Newton method
+minimizes the smoothed sum w_S sqrt(r_S^2 + eps^2) while eps shrinks to
+zero.  The polar objective is not convex and keeps multistart Nelder-Mead.
 """
 
 from __future__ import annotations
@@ -22,7 +27,9 @@ import numpy as np
 from scipy.optimize import minimize, root
 
 from .directions import sphere_directions
-from .errors import DegenerateCloudError, DivergentPolarError
+from .errors import DegenerateCloudError, DivergentPolarError, ZonomedError
+# wills_of_generators is not called here, but both kernel names stay
+# importable from this module: perfbench/tracing.py wraps them.
 from .zonotope import (
     MonteCarloEstimate,
     PointCloud,
@@ -36,9 +43,17 @@ from .zonotope import (
 _PROBE_STEP = 1e-3
 _FLAT_REL = 1e-9
 
+# Bytes the face forms of one solve may take while they are built; larger
+# problems fail before any subset is listed.
+_FACE_CACHE_BYTES = 1 << 29
+
 
 @dataclass
 class SolverOptions:
+    """``tolerance`` stops Weiszfeld (j = 1) and Nelder-Mead (polar); the face-form
+    Newton solver has its own scale-relative stop rule.  ``max_iter`` caps
+    every solver; ``multistarts`` and ``threads`` apply to polar only."""
+
     tolerance: float = 1e-8
     max_iter: int = 10_000
     multistarts: int = 8
@@ -221,111 +236,107 @@ def v1_median(cloud: PointCloud, opts: SolverOptions | None = None) -> MedianRes
     return MedianResult(x, value, iterations, converged, non_unique, trace)
 
 
-def _oja_affine_forms(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each d-subset S gives det(x - x_{i_1}, ..., x - x_{i_d}) = a_S + b_S . x."""
+def _face_forms(points: np.ndarray, orders) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Every j-subset S of the sample, for each j in ``orders``, as a face form.
+
+    vol_j(x - x_i : i in S) = w_S ||N_S'(x - a_S)||: a_S is the subset's first
+    point, and one batched complete QR of the edges x_i - a_S gives their
+    (j-1)-volume w_S = prod |diag R| and an orthonormal basis N_S of the
+    complement of their span.  j = 1 terms are ||x - x_i||.  Returns one
+    (a, w, N) group per order, without affinely dependent subsets (w_S = 0).
+    """
     n, d = points.shape
-    subsets = np.asarray(list(itertools.combinations(range(n), d)), dtype=np.intp)
-    cols = points[subsets]  # (nsub, d, d): row k is the k-th chosen point
-    mats = np.swapaxes(cols, 1, 2)  # columns are the chosen points
-    a = ((-1.0) ** d) * np.linalg.det(mats)
-    b = np.empty((len(subsets), d))
-    eye = np.eye(d)
-    for t in range(d):
-        shifted = eye[t][None, :, None] - mats
-        b[:, t] = np.linalg.det(shifted) - a
-    return a, b
+    need = sum(math.comb(n, j) * 8 * (j + 1 + d * (2 * d + j)) for j in orders)
+    if need > _FACE_CACHE_BYTES:
+        counts = ", ".join(f"C({n},{j}) = {math.comb(n, j)}" for j in orders)
+        raise ZonomedError(
+            f"face forms of {counts} subsets need {need} bytes, over {_FACE_CACHE_BYTES}"
+        )
+    groups = []
+    for j in orders:
+        if j == 1:
+            groups.append((points, np.ones(n), np.broadcast_to(np.eye(d), (n, d, d))))
+            continue
+        flat = itertools.chain.from_iterable(itertools.combinations(range(n), j))
+        idx = np.fromiter(flat, dtype=np.intp, count=math.comb(n, j) * j).reshape(-1, j)
+        a = points[idx[:, 0]]
+        edges = np.swapaxes(points[idx[:, 1:]] - a[:, None, :], 1, 2)
+        q, r = np.linalg.qr(edges, mode="complete")
+        w = np.abs(np.diagonal(r, axis1=1, axis2=2)).prod(axis=1)
+        # a volume within round-off of the edge lengths' product is zero
+        keep = w > j * np.finfo(float).eps * np.linalg.norm(edges, axis=1).prod(axis=1)
+        groups.append((a[keep], w[keep], q[keep][:, :, j - 1 :]))
+    return groups
 
 
-def _weighted_median(values: np.ndarray, weights: np.ndarray) -> float:
-    order = np.argsort(values, kind="stable")
-    v = values[order]
-    w = weights[order]
-    csum = np.cumsum(w)
-    half = 0.5 * csum[-1]
-    return float(v[np.searchsorted(csum, half)])
+def _face_value(groups, x: np.ndarray, eps: float = 0.0, derivatives: bool = False):
+    """sum_S w_S sqrt(r_S^2 + eps^2) with r_S = ||N_S'(x - a_S)||; with
+    ``derivatives``, the tuple (value, gradient, Hessian)."""
+    d = x.size
+    value, grad, hess = 0.0, np.zeros(d), np.zeros((d, d))
+    for a, w, N in groups:
+        y = np.einsum("sdk,sd->sk", N, x - a)
+        s = np.sqrt(np.einsum("sk,sk->s", y, y) + eps * eps)
+        value += float(w @ s)
+        if derivatives:
+            u = np.einsum("sdk,sk->sd", N, y)  # x - a_S projected off the flat
+            c = w / s
+            grad += c @ u
+            hess += np.einsum("s,sdk,sek->de", c, N, N)
+            hess -= np.einsum("s,sd,se->de", c / (s * s), u, u)
+    return (value, grad, hess) if derivatives else value
+
+
+def _face_median(cloud: PointCloud, orders, opts: SolverOptions, constant: float = 0.0):
+    """Minimize constant + sum over j in orders of V_j(Z(x)) from the face forms.
+
+    Damped Newton (Armijo backtracking) on sum_S w_S sqrt(r_S^2 + eps^2),
+    starting at the coordinatewise median, with eps lowered tenfold per
+    stage from 1e-2 to 1e-13 times the cloud scale.  A stage ends when a
+    step is shorter than max(1e-3 eps, 1e-14 scale).  ``opts.max_iter`` caps
+    the Newton steps over all stages, and the result is converged only when
+    the last stage ended within that cap.
+    """
+    pts = cloud.points
+    groups = _face_forms(pts, orders)
+    scale = _cloud_scale(pts)
+    x = np.median(pts, axis=0)
+    path = []
+    for eps in scale * 10.0 ** -np.arange(2.0, 14.0):
+        floor = max(1e-3 * eps, 1e-14 * scale)
+        stage_done = False
+        while not stage_done and len(path) < opts.max_iter:
+            f, g, H = _face_value(groups, x, eps, derivatives=True)
+            try:
+                p = -np.linalg.solve(H, g)
+            except np.linalg.LinAlgError:
+                p = -g
+            slope = float(g @ p)
+            if not slope < 0.0:
+                p, slope = -g, -float(g @ g)
+            t, length = 1.0, float(np.linalg.norm(p))
+            while t * length >= floor:
+                if _face_value(groups, x + t * p, eps) <= f + 1e-4 * t * slope:
+                    x = x + t * p
+                    break
+                t *= 0.5
+            stage_done = t * length < floor
+            path.append(x)
+
+    def objective(y):
+        return constant + _face_value(groups, y)
+
+    value = objective(x)
+    non_unique = _detect_flat(objective, x, value, pts)
+    trace = [(y.copy(), objective(y)) for y in path] if opts.keep_trace else None
+    return MedianResult(x, value, len(path), stage_done, non_unique, trace)
 
 
 def vd_median(cloud: PointCloud, opts: SolverOptions | None = None) -> MedianResult:
-    """Oja median: minimize the sum of |det| terms, a convex piecewise-linear
-    function of x.
-
-    Normalized subgradient descent localizes the minimum, exact per-axis
-    weighted-median refinement polishes it, and candidate vertices of the
-    active hyperplane arrangement are solved for directly to snap onto the
-    minimizing corner when it is unique.
-    """
-    opts = opts or SolverOptions()
-    pts = cloud.points
-    n, d = pts.shape
-    if n < d:
-        raise DegenerateCloudError(f"need at least d={d} points, got {n}")
-    if _affine_rank(pts) < d:
+    """Oja median: minimize the sum of simplex-volume terms |det(x - x_i : i in S)|."""
+    if _affine_rank(cloud.points) < cloud.dim:
         raise DegenerateCloudError("cloud does not affinely span R^d")
-    a, b = _oja_affine_forms(pts)
-    scale = _cloud_scale(pts)
-
-    def objective(x):
-        return float(np.abs(a + b @ x).sum())
-
-    def run(start: np.ndarray):
-        x = start.copy()
-        best_x, best_f = x.copy(), objective(x)
-        iters = 0
-        # coarse localization
-        for k in range(1, min(300, opts.max_iter) + 1):
-            g = np.sign(a + b @ x) @ b
-            gn = np.linalg.norm(g)
-            iters += 1
-            if gn < 1e-14:
-                break
-            x = x - (scale / (4.0 * math.sqrt(k))) * g / gn
-            f = objective(x)
-            if f < best_f:
-                best_x, best_f = x.copy(), f
-        x = best_x.copy()
-        # exact coordinate refinement
-        stable = False
-        for _ in range(100):
-            iters += 1
-            move = 0.0
-            for t in range(d):
-                bt = b[:, t]
-                active = bt != 0.0
-                if not np.any(active):
-                    continue
-                vals = a + b @ x
-                roots = x[t] - vals[active] / bt[active]
-                new_t = _weighted_median(roots, np.abs(bt[active]))
-                move = max(move, abs(new_t - x[t]))
-                x[t] = new_t
-            if move < opts.tolerance:
-                stable = True
-                break
-        f = objective(x)
-        if f < best_f:
-            best_x, best_f = x.copy(), f
-        # vertex snap: intersect the most nearly-active hyperplanes
-        residuals = np.abs(a + b @ best_x)
-        candidates = np.argsort(residuals, kind="stable")[: min(len(a), 3 * d + 3)]
-        for combo in itertools.combinations(candidates, d):
-            B = b[list(combo)]
-            if abs(np.linalg.det(B)) < 1e-12 * max(1.0, np.abs(B).max()) ** d:
-                continue
-            y = np.linalg.solve(B, -a[list(combo)])
-            fy = objective(y)
-            if fy < best_f:
-                best_x, best_f = y, fy
-        return best_x, best_f, iters, stable
-
-    starts = _start_points(cloud, opts)
-    results = _map_starts(run, starts, opts.threads)
-    best_x, best_f, _, _ = _merge_results(results)
-    iterations = sum(r[2] for r in results)
-    converged = any(r[3] for r in results)
-    value = vj_objective(best_x, cloud, d)
-    non_unique = _detect_flat(objective, best_x, value, pts)
-    trace = [(s.copy(), objective(s)) for s in starts] if opts.keep_trace else None
-    return MedianResult(best_x, value, iterations, converged, non_unique, trace)
+    return _face_median(cloud, (cloud.dim,), opts or SolverOptions())
 
 
 def _nelder_mead_polish(objective, x0: np.ndarray, opts: SolverOptions):
@@ -355,22 +366,23 @@ def _nelder_mead_polish(objective, x0: np.ndarray, opts: SolverOptions):
 
 
 def _multistart_minimize(cloud, objective, opts, extra_starts=()):
+    """Nelder-Mead from every start; the best end point and its own success flag."""
     starts = _start_points(cloud, opts, extra=extra_starts)
-
-    def run(s):
-        return _nelder_mead_polish(objective, s, opts)
-
-    results = _map_starts(run, starts, opts.threads)
-    best_x, best_f, _, _ = _merge_results(results)
+    results = _map_starts(lambda s: _nelder_mead_polish(objective, s, opts), starts, opts.threads)
+    best_x, best_f, _, converged = _merge_results(results)
     iterations = sum(r[2] for r in results)
-    converged = any(r[3] for r in results)
     trace = [(r[0].copy(), r[1]) for r in results] if opts.keep_trace else None
     return best_x, best_f, iterations, converged, trace
 
 
 def vj_median(cloud: PointCloud, j: int, opts: SolverOptions | None = None) -> MedianResult:
-    """V_j median: dispatches to v1_median / vd_median at the endpoints,
-    multistart Nelder-Mead for intermediate j (convexity there is unknown)."""
+    """V_j median: the minimizer of V_j(Z(x)) over x.
+
+    j = 1 is the L1 median (v1_median, Weiszfeld).  For 2 <= j <= d each
+    j-subset S contributes vol_{j-1}(edges of S) * dist(x, aff S), a volume
+    times the distance to a flat, so the objective is convex and one
+    face-form Newton solve from the coordinatewise median finds its minimum.
+    """
     opts = opts or SolverOptions()
     d = cloud.dim
     if not 1 <= j <= d:
@@ -381,30 +393,14 @@ def vj_median(cloud: PointCloud, j: int, opts: SolverOptions | None = None) -> M
         )
     if j == 1:
         return v1_median(cloud, opts)
-    if j == d:
-        return vd_median(cloud, opts)
-
-    def objective(x):
-        return intrinsic_volume_of_generators(np.asarray(x)[None, :] - cloud.points, j)
-
-    best_x, _, iterations, converged, trace = _multistart_minimize(cloud, objective, opts)
-    value = vj_objective(best_x, cloud, j)
-    non_unique = _detect_flat(objective, best_x, value, cloud.points)
-    return MedianResult(best_x, value, iterations, converged, non_unique, trace)
+    return _face_median(cloud, (j,), opts)
 
 
 def wills_median(cloud: PointCloud, opts: SolverOptions | None = None) -> MedianResult:
-    """Minimize the Wills functional W(Z(x)) = 1 + sum_j V_j(Z(x))."""
+    """Minimize the Wills functional W(Z(x)) = 1 + sum_j V_j(Z(x)), a sum of
+    convex V_j objectives, with the same face-form Newton solve."""
     opts = opts or SolverOptions()
-    d = cloud.dim
-
-    def objective(x):
-        return wills_of_generators(np.asarray(x)[None, :] - cloud.points, d)
-
-    best_x, _, iterations, converged, trace = _multistart_minimize(cloud, objective, opts)
-    value = objective(best_x)
-    non_unique = _detect_flat(objective, best_x, value, cloud.points)
-    return MedianResult(best_x, value, iterations, converged, non_unique, trace)
+    return _face_median(cloud, range(1, cloud.dim + 1), opts, constant=1.0)
 
 
 def sphere_surface_area(d: int) -> float:

@@ -83,6 +83,16 @@ class TestMedianCommand:
         assert code == 3
         assert json.loads(raw)["converged"] is False
 
+    def test_wills_step_cap_exit_3(self, tri_csv, tmp_path):
+        out = tmp_path / "res.json"
+        code, raw = run_to_file(
+            ["median", "--objective", "wills", "--input", tri_csv, "--seed", "1",
+             "--max-iter", "1"],
+            out,
+        )
+        assert code == 3
+        assert json.loads(raw)["converged"] is False
+
     def test_trace_emitted(self, tri_csv, tmp_path):
         out = tmp_path / "res.json"
         _, raw = run_to_file(

@@ -1,13 +1,16 @@
 """The V_j-median family, Wills and polar medians, and the grid oracle."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from zonomed import (
     DegenerateCloudError,
     DivergentPolarError,
+    ZonomedError,
     MedianProblem,
     PointCloud,
     SolverOptions,
@@ -22,6 +25,8 @@ from zonomed import (
     wills_median,
 )
 from zonomed.directions import sphere_directions
+from zonomed.medians import _cloud_scale, _face_forms, _face_value
+from zonomed.zonotope import wills_of_generators
 from conftest import refined_grid_minimum, rotation_matrix
 
 
@@ -216,8 +221,6 @@ class TestWillsMedian:
     def test_matches_grid_oracle(self):
         rng = np.random.default_rng(11)
         cloud = PointCloud(rng.normal(size=(5, 2)))
-        from zonomed.zonotope import wills_of_generators
-
         objective = lambda x: wills_of_generators(x[None, :] - cloud.points, 2)
         r = wills_median(cloud, SolverOptions(tolerance=1e-8))
         gp, gv, diag = refined_grid_minimum(cloud, objective)
@@ -353,3 +356,172 @@ class TestMedianProblem:
             MedianProblem(cloud, "nope")
         with pytest.raises(ValueError):
             MedianProblem(cloud, "vj", j=5)
+
+
+def _mixed_cloud(rng, n, d):
+    """A sheared, shifted Gaussian cloud (the benchmark's median inputs)."""
+    mix = rng.standard_normal((d, d)) / math.sqrt(d) + np.eye(d)
+    return rng.standard_normal((n, d)) @ mix + rng.uniform(-2.0, 2.0, size=d)
+
+
+def _subset_volume_sum(gens, j):
+    """Sum over j-subsets of the product of singular values, |det| when j = d.
+
+    Unlike sqrt(det Gram), this stays accurate where x lies on or next to
+    the flat of a subset, which is where the minimizers sit.
+    """
+    idx = np.asarray(list(itertools.combinations(range(len(gens)), j)), dtype=np.intp)
+    if idx.size == 0:
+        return 0.0
+    sub = gens[idx]
+    if j == gens.shape[1]:
+        vals = np.abs(np.linalg.det(sub))
+    else:
+        vals = np.prod(np.linalg.svd(sub, compute_uv=False), axis=1)
+    return math.fsum(vals.tolist())
+
+
+def _objective(cloud, order):
+    """Reference V_j for an int order, the Wills functional for "wills"."""
+    orders = range(1, cloud.dim + 1) if order == "wills" else (order,)
+    constant = 1.0 if order == "wills" else 0.0
+    return lambda x: constant + math.fsum(
+        _subset_volume_sum(x[None, :] - cloud.points, j) for j in orders
+    )
+
+
+def _solve(cloud, order):
+    if order == "wills":
+        return wills_median(cloud)
+    return vj_median(cloud, order)
+
+
+def _best_improvement(objective, x, steps):
+    """Largest relative decrease of the objective over the given steps from x."""
+    fx = objective(x)
+    return max(0.0, max((fx - objective(x + s)) / fx for s in steps))
+
+
+def _axis_steps(d, h):
+    eye = np.eye(d)
+    return [sign * h * e for e in eye for sign in (1.0, -1.0)]
+
+
+class TestFaceSolver:
+    @pytest.mark.parametrize("seed, optimum", [(3, 931.0440818), (5, 81.0221973)])
+    def test_oja_reaches_optimum(self, seed, optimum):
+        # the subgradient/refinement solver stopped at 931.1057 and 81.0231
+        # here while reporting convergence
+        cloud = PointCloud(_mixed_cloud(np.random.default_rng([seed, 7]), 15, 3))
+        r = vd_median(cloud)
+        assert r.converged
+        assert r.value == pytest.approx(optimum, rel=1e-9)
+        objective = _objective(cloud, 3)
+        scale = _cloud_scale(cloud.points)
+        rng = np.random.default_rng(seed)
+        dirs = rng.standard_normal((40, 3))
+        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+        for h in (1e-6 * scale, 1e-3 * scale, 1e-1 * scale):
+            steps = _axis_steps(3, h) + list(h * dirs)
+            assert _best_improvement(objective, r.argmin, steps) <= 1e-12
+
+    @pytest.mark.parametrize("order", [2, 3, "wills"])
+    def test_value_from_face_form(self, order):
+        cloud = PointCloud(_mixed_cloud(np.random.default_rng(17), 12, 3))
+        r = _solve(cloud, order)
+        assert r.converged
+        assert r.value == pytest.approx(_objective(cloud, order)(r.argmin), rel=1e-12)
+
+    def test_trace_has_one_entry_per_newton_step(self):
+        cloud = PointCloud(_mixed_cloud(np.random.default_rng(18), 8, 2))
+        r = wills_median(cloud, SolverOptions(keep_trace=True))
+        assert len(r.trace) == r.iterations > 0
+
+    def test_step_cap_reports_no_convergence(self):
+        cloud = PointCloud(_mixed_cloud(np.random.default_rng(19), 8, 2))
+        assert not wills_median(cloud, SolverOptions(max_iter=1)).converged
+        assert not vj_median(cloud, 2, SolverOptions(max_iter=1)).converged
+
+    def test_oversized_problem_fails_up_front(self):
+        cloud = PointCloud(_mixed_cloud(np.random.default_rng(20), 500, 3))
+        with pytest.raises(ZonomedError, match=r"C\(500,3\) = 20708500"):
+            vd_median(cloud)
+        with pytest.raises(ZonomedError, match="bytes"):
+            wills_median(cloud)
+
+    def test_duplicate_points(self):
+        pts = _mixed_cloud(np.random.default_rng(21), 7, 2)
+        cloud = PointCloud(np.vstack([pts, pts[:3]]))
+        scale = _cloud_scale(cloud.points)
+        for order in (2, "wills"):
+            r = _solve(cloud, order)
+            objective = _objective(cloud, order)
+            assert r.converged
+            assert r.value == pytest.approx(objective(r.argmin), rel=1e-12)
+            for h in (1e-6 * scale, 1e-3 * scale):
+                assert _best_improvement(objective, r.argmin, _axis_steps(2, h)) <= 1e-12
+
+    def test_affinely_dependent_subsets_dropped(self):
+        line = np.outer([0.0, 1.0, 3.0], [1.0, 2.0, -1.0])
+        pts = np.vstack([line, _mixed_cloud(np.random.default_rng(22), 5, 3)])
+        groups = _face_forms(pts, (3,))
+        assert len(groups[0][1]) == math.comb(8, 3) - 1
+        cloud = PointCloud(pts)
+        r = vd_median(cloud)
+        assert r.converged
+        assert r.value == pytest.approx(_objective(cloud, 3)(r.argmin), rel=1e-12)
+
+    def test_wills_of_two_points_is_the_segment(self):
+        # W = 1 + (|x-a| + |x-b|) + |(x-a) x (x-b)|, minimized on all of [a, b]
+        cloud = PointCloud([[0.0, 0.0], [2.0, 0.0]])
+        r = wills_median(cloud)
+        assert r.converged and r.non_unique
+        assert r.value == pytest.approx(3.0, rel=1e-12)
+        assert abs(r.argmin[1]) <= 1e-12 and 0.0 <= r.argmin[0] <= 2.0
+
+
+_orders = st.sampled_from([(2, 2), (3, 2), (3, 3), (2, "wills"), (3, "wills")])
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), case=_orders, n=st.integers(3, 8))
+def test_face_form_matches_subset_kernel(seed, case, n):
+    d, order = case
+    rng = np.random.default_rng(seed)
+    cloud = PointCloud(rng.standard_normal((n, d)))
+    orders = range(1, d + 1) if order == "wills" else (order,)
+    groups = _face_forms(cloud.points, orders)
+    for x in rng.standard_normal((5, d)) * 2.0:
+        if order == "wills":
+            expected = wills_of_generators(x[None, :] - cloud.points, d) - 1.0
+        else:
+            expected = vj_objective(x, cloud, order)
+        assert _face_value(groups, x) == pytest.approx(expected, rel=1e-10)
+
+
+@settings(max_examples=15, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), case=_orders, n=st.integers(4, 9))
+def test_argmin_is_axis_step_optimal(seed, case, n):
+    d, order = case
+    cloud = PointCloud(_mixed_cloud(np.random.default_rng(seed), n, d))
+    r = _solve(cloud, order)
+    assert r.converged
+    objective = _objective(cloud, order)
+    scale = _cloud_scale(cloud.points)
+    for h in (1e-6 * scale, 1e-2 * scale):
+        assert _best_improvement(objective, r.argmin, _axis_steps(d, h)) <= 1e-11
+
+
+@settings(max_examples=15, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), case=_orders, n=st.integers(4, 9))
+def test_rigid_motion_equivariance(seed, case, n):
+    d, order = case
+    rng = np.random.default_rng(seed)
+    pts = _mixed_cloud(rng, n, d)
+    R, t = rotation_matrix(rng, d), 3.0 * rng.standard_normal(d)
+    base = _solve(PointCloud(pts), order)
+    moved = _solve(PointCloud(pts @ R.T + t), order)
+    assert moved.value == pytest.approx(base.value, rel=1e-10)
+    if order != d:  # an Oja minimum can be a whole edge or cell, not a point
+        scale = _cloud_scale(pts)
+        assert np.linalg.norm(moved.argmin - (R @ base.argmin + t)) <= 1e-7 * scale
