@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import itertools
+import math
+
 import numpy as np
 
 from zonomed import PointCloud, Zonotope, grid_oracle
@@ -9,6 +12,21 @@ from zonomed import PointCloud, Zonotope, grid_oracle
 
 def random_zonotope(rng: np.random.Generator, d: int, m: int) -> Zonotope:
     return Zonotope(rng.standard_normal((m, d)))
+
+
+def subset_volume_sum(gens: np.ndarray, j: int) -> float:
+    """Sum over j-subsets of |det G_S| (j = d) or of the product of the
+    singular values of G_S (j < d): V_j without forming G_S' G_S, which
+    would square the condition number."""
+    idx = np.asarray(list(itertools.combinations(range(len(gens)), j)), dtype=np.intp)
+    if idx.size == 0:
+        return 0.0
+    sub = gens[idx]
+    if j == gens.shape[1]:
+        vals = np.abs(np.linalg.det(sub))
+    else:
+        vals = np.prod(np.linalg.svd(sub, compute_uv=False), axis=1)
+    return math.fsum(vals.tolist())
 
 
 def random_spd(rng: np.random.Generator, d: int, lo: float = 0.5, hi: float = 5.0):

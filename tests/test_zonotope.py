@@ -1,9 +1,12 @@
 """Exact and Monte Carlo intrinsic volumes of zonotopes."""
 
+import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from zonomed import (
     BallConstants,
@@ -15,7 +18,8 @@ from zonomed import (
     unit_ball_volume,
     wills_functional,
 )
-from conftest import random_zonotope
+from zonomed.zonotope import intrinsic_volume_of_generators
+from conftest import random_zonotope, rotation_matrix, subset_volume_sum
 
 
 class TestTypes:
@@ -217,3 +221,112 @@ class TestWills:
     def test_sheared_pair(self):
         z = Zonotope([[1.0, 0.0], [1.0, 1.0]])
         assert wills_functional(z) == pytest.approx(3.0 + math.sqrt(2.0), rel=1e-12)
+
+
+def _hadamard_bound(gens, j):
+    """Sum over j-subsets of the product of the generator norms, >= V_j.
+
+    Rounding the generators moves V_j by a few ulps of this, so it sets the
+    scale of every tolerance below.
+    """
+    norms = np.linalg.norm(gens, axis=1).tolist()
+    return math.fsum(math.prod(c) for c in itertools.combinations(norms, j))
+
+
+class TestAccuracy:
+    """Subset volumes stay accurate on near-degenerate generators."""
+
+    def test_near_flat_zonotope(self):
+        # third coordinate 1e-7: sqrt(det Gram) was 8.5e-3 off for V_3
+        gens = np.random.default_rng(0).standard_normal((40, 3)) * [1.0, 1.0, 1e-7]
+        for j in (2, 3):
+            expected = subset_volume_sum(gens, j)
+            assert intrinsic_volume(Zonotope(gens), j) == pytest.approx(expected, rel=1e-12)
+
+    def test_nearly_parallel_generators(self):
+        # eight generators within ~1e-6 rad of one line in R^3.  Rounding the
+        # inputs alone moves each area by ~1e-16 / 1e-6 relative, so 1e-9 is
+        # what any backward-stable method meets; sqrt(det Gram) misses by ~3e-4.
+        rng = np.random.default_rng(4)
+        u = rng.standard_normal(3)
+        u /= np.linalg.norm(u)
+        v = np.cross(u, rng.standard_normal(3))
+        v /= np.linalg.norm(v)
+        theta = 1e-6 * rng.uniform(-1.0, 1.0, size=8)
+        gens = rng.uniform(0.5, 2.0, size=(8, 1)) * (u + theta[:, None] * v)
+        areas = []
+        for a, b in itertools.combinations(gens.tolist(), 2):
+            a, b = [Fraction(x) for x in a], [Fraction(x) for x in b]
+            minors = [a[i] * b[k] - a[k] * b[i] for i, k in ((0, 1), (0, 2), (1, 2))]
+            areas.append(math.sqrt(sum(q * q for q in minors)))
+        exact = math.fsum(areas)
+        assert intrinsic_volume(Zonotope(gens), 2) == pytest.approx(exact, rel=1e-9)
+
+
+_coordinate = st.floats(-10.0, 10.0, allow_nan=False).map(lambda v: round(v, 6))
+
+
+@st.composite
+def _generator_sets(draw, dims=st.integers(1, 5)):
+    d = draw(dims)
+    m = draw(st.integers(1, 9))
+    values = draw(st.lists(_coordinate, min_size=m * d, max_size=m * d))
+    return np.array(values, dtype=float).reshape(m, d)
+
+
+def _orders(gens):
+    return range(1, gens.shape[1] + 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(gens=_generator_sets(), seed=st.integers(0, 2**32 - 1))
+def test_kernel_permutation_invariant(gens, seed):
+    perm = np.random.default_rng(seed).permutation(len(gens))
+    for j in _orders(gens):
+        a = intrinsic_volume_of_generators(gens, j)
+        b = intrinsic_volume_of_generators(gens[perm], j)
+        if j <= 2:
+            assert a == b
+        else:
+            assert abs(a - b) <= 1e-12 * _hadamard_bound(gens, j)
+
+
+@settings(max_examples=60, deadline=None)
+@given(gens=_generator_sets(), seed=st.integers(0, 2**32 - 1))
+def test_kernel_rigid_motion_invariant(gens, seed):
+    rng = np.random.default_rng(seed)
+    d = gens.shape[1]
+    R = rotation_matrix(rng, d)
+    center = 10.0 * rng.standard_normal(d)
+    for j in _orders(gens):
+        base = intrinsic_volume(Zonotope(gens), j)
+        assert intrinsic_volume(Zonotope(gens, center=center), j) == base
+        rotated = intrinsic_volume(Zonotope(gens @ R.T, center=center), j)
+        assert abs(rotated - base) <= 1e-12 * _hadamard_bound(gens, j)
+
+
+@settings(max_examples=60, deadline=None)
+@given(gens=_generator_sets(), k=st.integers(-4, 4), s=st.floats(0.1, 10.0))
+def test_kernel_homogeneous(gens, k, s):
+    for j in _orders(gens):
+        base = intrinsic_volume_of_generators(gens, j)
+        # scaling by a power of two is exact in every step
+        assert intrinsic_volume_of_generators(2.0**k * gens, j) == 2.0 ** (k * j) * base
+        scaled = intrinsic_volume_of_generators(s * gens, j)
+        assert abs(scaled - s**j * base) <= 1e-12 * s**j * _hadamard_bound(gens, j)
+
+
+@settings(max_examples=60, deadline=None)
+@given(gens=_generator_sets())
+def test_kernel_matches_svd_reference(gens):
+    for j in _orders(gens):
+        got = intrinsic_volume_of_generators(gens, j)
+        assert abs(got - subset_volume_sum(gens, j)) <= 1e-12 * _hadamard_bound(gens, j)
+
+
+@settings(max_examples=60, deadline=None)
+@given(gens=_generator_sets(dims=st.just(2)))
+def test_planar_prefix_sum_matches_pairs(gens):
+    pairs = [abs(a[0] * b[1] - a[1] * b[0]) for a, b in itertools.combinations(gens.tolist(), 2)]
+    got = intrinsic_volume_of_generators(gens, 2)
+    assert abs(got - math.fsum(pairs)) <= 1e-12 * _hadamard_bound(gens, 2)
