@@ -211,6 +211,7 @@ def _extend_plan(d: int, m: int, t: int, s: int, e: int):
     last, _ = _colex(m, t, s, e)
     runs = m - 1 - last
     parent = np.repeat(np.arange(e - s), runs)
+    # the q-th pair of a run takes generator last + 1 + q
     later = np.arange(parent.size) - np.repeat(np.cumsum(runs) - runs - last - 1, runs)
     return _take_index(d, m, t, parent, later, e - s)
 
@@ -291,8 +292,8 @@ def intrinsic_volume(zonotope: Zonotope, j: int) -> float:
     by the planar prefix sum for j = 2 in the plane (see the module
     docstring).  V_0 = 1 and V_j = 0 for j above the ambient dimension.
     Repeated generators count once per index subset (multiset semantics).
-    The total is rounded once, so for j <= 2 the generator order cannot
-    change it.
+    For j <= 2 every term comes out the same whatever the generator order,
+    and the total is rounded once, so the order cannot change the result.
     """
     return intrinsic_volume_of_generators(zonotope.generators, j)
 
