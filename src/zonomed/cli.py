@@ -16,6 +16,9 @@ import tempfile
 import numpy as np
 
 from . import __version__
+# symmetrize_sample is not called here (``empirical symmetrize`` takes the
+# shifted sample from norm_reduction_check, so the regression runs once),
+# but it stays importable from this module: perfbench/tracing.py wraps it.
 from .empirical import (
     EmpiricalSample,
     RegressorConfig,
@@ -234,10 +237,10 @@ def _cmd_empirical(args) -> int:
     if args.empirical_command == "symmetrize":
         sample = EmpiricalSample(_read_csv(args.input))
         u = _parse_vector(args.u)
-        out = symmetrize_sample(sample, u, cfg)
         reduction = norm_reduction_check(sample, u, cfg)
         if args.output_sample:
-            buf = "\n".join(",".join(repr(float(v)) for v in row) for row in out.draws) + "\n"
+            draws = reduction.symmetrized.draws
+            buf = "\n".join(",".join(repr(float(v)) for v in row) for row in draws) + "\n"
             _write_output(buf, args.output_sample)
         payload = {
             "config": _empirical_config(args),

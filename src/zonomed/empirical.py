@@ -12,7 +12,7 @@ steps while reporting isotropy diagnostics.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -27,6 +27,9 @@ from .polygon import (
     distances_to_polygon,
     polygon_area,
 )
+
+# Neighbours per kd-tree query block: 2**20 int64 indices are 8 MB.
+_QUERY_NEIGHBOURS = 2**20
 
 
 @dataclass
@@ -100,10 +103,13 @@ class Theorem1Report:
 
 @dataclass
 class NormReduction:
+    """Mean-square norms around one symmetrization step, and the step's result."""
+
     before: float
     after: float
     decrease: float
     regression_mean_square: float
+    symmetrized: EmpiricalSample = field(repr=False, compare=False)
 
 
 def complement_basis(u: np.ndarray) -> np.ndarray:
@@ -130,7 +136,18 @@ def complement_basis(u: np.ndarray) -> np.ndarray:
 
 
 def _conditional_mean(sample: EmpiricalSample, u: np.ndarray, cfg: RegressorConfig) -> np.ndarray:
-    """Estimate m(p) = E[u'X | P X = p] at every draw."""
+    """Estimate m(p) = E[u'X | P X = p] at every draw.
+
+    'exact_linear' fits OLS on the projected coordinates p = P X.  'knn'
+    averages u'X over the k nearest draws in p, the draw itself included.
+    When p is one coordinate (d = 2) those neighbours are a window of the
+    sorted projections, found exactly in O(N log N) by `_window_means`;
+    otherwise a kd-tree is queried in blocks of about `_QUERY_NEIGHBOURS`
+    neighbours, so no N x k array is built.  A sample in R^1, or one whose
+    projections all coincide, gets the global mean.
+    """
+    if u.size != sample.dim:
+        raise ValueError(f"direction has dimension {u.size}, sample has {sample.dim}")
     if cfg.method == "knn":
         k = cfg.resolve_k(sample.n)  # validates k <= N up front
     y = sample.draws @ u
@@ -145,11 +162,52 @@ def _conditional_mean(sample: EmpiricalSample, u: np.ndarray, cfg: RegressorConf
         p_centered = p - p.mean(axis=0)
         slope, *_ = np.linalg.lstsq(p_centered, y - y.mean(), rcond=None)
         return y.mean() + p_centered @ slope
+    if p.shape[1] == 1:
+        return _window_means(p[:, 0], y, k)
     tree = cKDTree(p)
-    _, idx = tree.query(p, k=k)
-    if k == 1:
-        idx = idx[:, None]
-    return y[idx].mean(axis=1)
+    rows = max(1, _QUERY_NEIGHBOURS // k)
+    m_hat = np.empty(sample.n)
+    for start in range(0, sample.n, rows):
+        _, idx = tree.query(p[start:start + rows], k=k)
+        m_hat[start:start + rows] = y[idx.reshape(-1, k)].mean(axis=1)
+    return m_hat
+
+
+def _window_means(t: np.ndarray, y: np.ndarray, k: int) -> np.ndarray:
+    """Mean of y over the k nearest neighbours in t of every point, on the line.
+
+    Each mean is a difference of one prefix sum of the centred y over the
+    point's window of the sorted projections (see `_window_starts`).
+    """
+    n = t.size
+    order = np.argsort(t, kind="stable")
+    start = _window_starts(t[order], k)
+    y_mean = y.mean()
+    prefix = np.concatenate(([0.0], np.cumsum(y[order] - y_mean)))
+    m_hat = np.empty(n)
+    m_hat[order] = y_mean + (prefix[start + k] - prefix[start]) / k
+    return m_hat
+
+
+def _window_starts(s: np.ndarray, k: int) -> np.ndarray:
+    """First index of the k nearest neighbours of every s_i, s sorted ascending.
+
+    The k nearest neighbours of s_i are a window s_l .. s_{l+k-1} containing
+    i.  Window l is no worse than window l + 1 exactly when
+    s_i - s_l <= s_{l+k} - s_i, that is 2 s_i <= g_l with g_l = s_l + s_{l+k}
+    nondecreasing in l, so the first l with g_l >= 2 s_i is a best window.
+    Clipping it to the windows that contain i changes only which of several
+    coincident projections are taken.
+    """
+    n = s.size
+    i = np.arange(n)
+    start = np.searchsorted(s[: n - k] + s[k:], 2.0 * s, side="left")
+    return np.clip(start, np.maximum(i - k + 1, 0), np.minimum(i, n - k))
+
+
+def _shifted(sample: EmpiricalSample, u: np.ndarray, m_hat: np.ndarray) -> EmpiricalSample:
+    """The draws moved along u by minus their conditional means: X - m_hat u."""
+    return EmpiricalSample(sample.draws - m_hat[:, None] * u[None, :])
 
 
 def symmetrize_sample(
@@ -162,10 +220,7 @@ def symmetrize_sample(
     """
     u = _check_unit(u)
     cfg = cfg or RegressorConfig()
-    if u.size != sample.dim:
-        raise ValueError(f"direction has dimension {u.size}, sample has {sample.dim}")
-    m_hat = _conditional_mean(sample, u, cfg)
-    return EmpiricalSample(sample.draws - m_hat[:, None] * u[None, :])
+    return _shifted(sample, u, _conditional_mean(sample, u, cfg))
 
 
 def polygon_steiner_symmetral_2d(poly: ConvexPolygon2D, u) -> ConvexPolygon2D:
@@ -310,19 +365,22 @@ def norm_reduction_check(
 
     With OLS regression the decrease equals the empirical mean of the
     fitted conditional means squared (a least-squares identity); with knn
-    the identity is approximate, so both sides are reported.
+    the identity is approximate, so both sides are reported.  The shifted
+    sample itself, what `symmetrize_sample` returns, comes back as
+    ``symmetrized``, so a caller that needs both runs one regression.
     """
     u = _check_unit(u)
     cfg = cfg or RegressorConfig()
     m_hat = _conditional_mean(sample, u, cfg)
     before = float(np.mean((sample.draws**2).sum(axis=1)))
-    shifted = sample.draws - m_hat[:, None] * u[None, :]
-    after = float(np.mean((shifted**2).sum(axis=1)))
+    shifted = _shifted(sample, u, m_hat)
+    after = float(np.mean((shifted.draws**2).sum(axis=1)))
     return NormReduction(
         before=before,
         after=after,
         decrease=before - after,
         regression_mean_square=float(np.mean(m_hat**2)),
+        symmetrized=shifted,
     )
 
 
@@ -389,7 +447,7 @@ def conjecture_explorer(
                 u /= np.linalg.norm(u)
         m_hat = _conditional_mean(sample, u, cfg)
         before_ms = float(np.mean((sample.draws**2).sum(axis=1)))
-        sample = EmpiricalSample(sample.draws - m_hat[:, None] * u[None, :])
+        sample = _shifted(sample, u, m_hat)
         anisotropy, mean_norm, mean_square = _isotropy_numbers(sample.draws)
         reports.append(
             IsotropyReport(

@@ -6,7 +6,9 @@ import math
 import numpy as np
 import pytest
 
+from zonomed import empirical
 from zonomed.cli import main
+from zonomed.empirical import EmpiricalSample, RegressorConfig, symmetrize_sample
 
 
 @pytest.fixture
@@ -185,6 +187,33 @@ class TestEmpiricalCommand:
         )
         data = np.loadtxt(out_csv, delimiter=",")
         assert data.shape == (2000, 2)
+
+    def test_symmetrize_runs_one_regression(self, sample_csv, tmp_path, monkeypatch):
+        calls = []
+        regress = empirical._conditional_mean
+
+        def counting(*args):
+            calls.append(args)
+            return regress(*args)
+
+        monkeypatch.setattr(empirical, "_conditional_mean", counting)
+        out = tmp_path / "report.json"
+        out_csv = tmp_path / "sym.csv"
+        code = main(
+            ["empirical", "symmetrize", "--input", sample_csv, "--u", "1,1",
+             "--method", "knn", "--output-sample", str(out_csv), "--output", str(out)]
+        )
+        assert code == 0
+        assert len(calls) == 1
+        payload = json.loads(out.read_text())
+        assert set(payload) == {
+            "config", "before_mean_square", "after_mean_square", "decrease",
+            "regression_mean_square",
+        }
+        sample = EmpiricalSample(np.loadtxt(sample_csv, delimiter=","))
+        u = np.array([1.0, 1.0]) / np.linalg.norm([1.0, 1.0])
+        expected = symmetrize_sample(sample, u, RegressorConfig("knn"))
+        np.testing.assert_array_equal(np.loadtxt(out_csv, delimiter=","), expected.draws)
 
     def test_theorem1(self, square_json, tmp_path):
         out = tmp_path / "rep.json"

@@ -4,7 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
+from scipy.spatial import cKDTree
 
+from zonomed import empirical
 from zonomed import (
     ConvexPolygon2D,
     EmpiricalSample,
@@ -20,6 +23,7 @@ from zonomed import (
     symmetrize_sample,
     theorem1_check,
 )
+from zonomed.empirical import _conditional_mean, _window_means, _window_starts
 
 DIAG_U = np.array([1.0, 1.0]) / math.sqrt(2.0)
 SQUARE = ConvexPolygon2D([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
@@ -100,6 +104,93 @@ class TestSymmetrizeSample:
         out = symmetrize_sample(sample, [0.0, 1.0], RegressorConfig("knn", k=2))
         assert out.draws[:, 1].mean() == pytest.approx(0.0, abs=1e-12)
         np.testing.assert_allclose(out.draws[:, 0], 0.0, atol=0.0)
+
+
+def brute_knn_mean(p, y, k):
+    """Mean of y over the k nearest rows of p, one point at a time."""
+    out = np.empty(len(p))
+    for i in range(len(p)):
+        dist = np.linalg.norm(p - p[i], axis=1)
+        out[i] = y[np.argsort(dist, kind="stable")[:k]].mean()
+    return out
+
+
+class TestKnnConditionalMean:
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 60), data=st.data())
+    def test_line_matches_brute_force(self, seed, n, data):
+        k = data.draw(st.integers(1, n))
+        rng = np.random.default_rng(seed)
+        draws = rng.standard_normal((n, 2)) * rng.uniform(0.5, 2.0, size=2)
+        u = rng.standard_normal(2)
+        u /= np.linalg.norm(u)
+        p = draws @ complement_basis(u).T
+        # distinct projections with no tie at any k-th distance: one kNN set
+        if k < n:
+            gaps = np.diff(np.sort(np.abs(p - p.T), axis=1)[:, k - 1:k + 1], axis=1)
+            assume(gaps.min() > 1e-9)
+        got = _conditional_mean(EmpiricalSample(draws), u, RegressorConfig("knn", k=k))
+        np.testing.assert_allclose(got, brute_knn_mean(p, draws @ u, k), rtol=0.0, atol=1e-12)
+
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 40), span=st.integers(0, 8),
+           data=st.data())
+    def test_integer_projections_windows_are_nearest(self, seed, n, span, data):
+        k = data.draw(st.integers(1, n))
+        rng = np.random.default_rng(seed)
+        s = np.sort(rng.integers(-span, span + 1, size=n).astype(float))
+        start = _window_starts(s, k)
+        for i in range(n):
+            assert start[i] <= i < start[i] + k
+            window = np.abs(s[start[i]:start[i] + k] - s[i])
+            assert window.max() == np.sort(np.abs(s - s[i]))[k - 1]
+
+    def test_k1_returns_each_draw(self):
+        rng = np.random.default_rng(30)
+        draws = rng.standard_normal((50, 2))
+        sample = EmpiricalSample(np.vstack([draws, draws]))
+        got = _conditional_mean(sample, DIAG_U, RegressorConfig("knn", k=1))
+        np.testing.assert_allclose(got, sample.draws @ DIAG_U, rtol=0.0, atol=1e-14)
+
+    def test_k_equal_n_is_global_mean(self):
+        sample = gaussian_sample(40, seed=31)
+        y = sample.draws @ DIAG_U
+        got = _conditional_mean(sample, DIAG_U, RegressorConfig("knn", k=40))
+        np.testing.assert_allclose(got, np.full(40, y.mean()), rtol=0.0, atol=1e-14)
+
+    def test_single_draw(self):
+        np.testing.assert_array_equal(_window_means(np.array([0.3]), np.array([2.5]), 1), [2.5])
+        out = symmetrize_sample(EmpiricalSample([[1.0, 2.0]]), DIAG_U, RegressorConfig("knn"))
+        assert abs(out.draws[0] @ DIAG_U) <= 1e-15
+
+    def test_duplicate_draws_pair_up(self):
+        # with every draw twice and k = 2, each draw's neighbours are itself
+        # and its copy, so the conditional mean is its own u-coordinate
+        rng = np.random.default_rng(32)
+        draws = rng.standard_normal((30, 2))
+        sample = EmpiricalSample(np.vstack([draws, draws[::-1]]))
+        got = _conditional_mean(sample, DIAG_U, RegressorConfig("knn", k=2))
+        np.testing.assert_allclose(got, sample.draws @ DIAG_U, rtol=0.0, atol=1e-14)
+
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    def test_tree_blocks_match_one_query(self, k, monkeypatch):
+        rng = np.random.default_rng(33)
+        sample = EmpiricalSample(rng.standard_normal((101, 3)))
+        u = np.array([1.0, 2.0, 2.0]) / 3.0
+        cfg = RegressorConfig("knn", k=k)
+        whole = _conditional_mean(sample, u, cfg)
+        queries = []
+
+        class CountingTree(cKDTree):
+            def query(self, x, *args, **kwargs):
+                queries.append(len(x))
+                return super().query(x, *args, **kwargs)
+
+        monkeypatch.setattr(empirical, "cKDTree", CountingTree)
+        monkeypatch.setattr(empirical, "_QUERY_NEIGHBOURS", 7)
+        blocked = _conditional_mean(sample, u, cfg)
+        assert len(queries) > 1 and max(queries) == 7 // k and sum(queries) == 101
+        np.testing.assert_array_equal(blocked, whole)
 
 
 class TestPolygonSymmetral:
