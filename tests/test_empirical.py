@@ -7,7 +7,6 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 from scipy.spatial import cKDTree
 
-from zonomed import empirical
 from zonomed import (
     ConvexPolygon2D,
     EmpiricalSample,
@@ -15,6 +14,7 @@ from zonomed import (
     RegressorConfig,
     complement_basis,
     conjecture_explorer,
+    empirical,
     norm_reduction_check,
     polygon_steiner_symmetral_2d,
     regression_coefficient,
