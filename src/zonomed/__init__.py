@@ -40,7 +40,6 @@ from .gauss import (
     SymmetrizationTrace,
     double_mean_update,
     eigenpair_direction,
-    make_projector,
     regression_coefficient,
     sphere_iterate,
     symmetrize_gaussian,
@@ -61,18 +60,15 @@ from .medians import (
 )
 from .polygon import (
     ConvexPolygon2D,
-    dist_to_polygon,
     distances_to_polygon,
     steiner_polynomial_check_2d,
     wills_mc_check,
     zonotope_polygon_2d,
 )
 from .zonotope import (
-    BallConstants,
     MonteCarloEstimate,
     PointCloud,
     Zonotope,
-    build_discrepancy_zonotope,
     intrinsic_volume,
     mc_intrinsic_volume,
     unit_ball_volume,

@@ -49,25 +49,26 @@ def _env_threads() -> int:
 
 
 def _read_csv(path: str) -> np.ndarray:
-    """Comma-separated rows of numbers; a non-numeric first row is a header."""
+    """Comma-separated rows of numbers; a non-numeric first row is a header.
+
+    Blank lines are skipped and spaces around fields are allowed.  ``#`` does
+    not start a comment: a data row that holds one is malformed.
+    """
     with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
+        lines = [ln for ln in map(str.strip, fh) if ln]
     if not lines:
         raise ValueError(f"{path}: empty file")
-    start = 0
     try:
         [float(c) for c in lines[0].split(",")]
+        rows = lines
     except ValueError:
-        start = 1
-    rows = []
-    for ln in lines[start:]:
-        rows.append([float(c) for c in ln.split(",")])
+        rows = lines[1:]
     if not rows:
         raise ValueError(f"{path}: no data rows")
-    widths = {len(r) for r in rows}
+    widths = {ln.count(",") + 1 for ln in rows}
     if len(widths) != 1:
         raise ValueError(f"{path}: ragged rows (widths {sorted(widths)})")
-    return np.asarray(rows, dtype=float)
+    return np.loadtxt(rows, delimiter=",", ndmin=2, comments=None)
 
 
 def _parse_vector(text: str) -> np.ndarray:
@@ -239,8 +240,8 @@ def _cmd_empirical(args) -> int:
         u = _parse_vector(args.u)
         reduction = norm_reduction_check(sample, u, cfg)
         if args.output_sample:
-            draws = reduction.symmetrized.draws
-            buf = "\n".join(",".join(repr(float(v)) for v in row) for row in draws) + "\n"
+            rows = reduction.symmetrized.draws.tolist()
+            buf = "\n".join(",".join(map(repr, row)) for row in rows) + "\n"
             _write_output(buf, args.output_sample)
         payload = {
             "config": _empirical_config(args),

@@ -12,10 +12,10 @@ steps while reporting isotropy diagnostics.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .directions import random_direction, sphere_directions
 from .errors import DegeneratePolygonError
@@ -30,6 +30,17 @@ from .polygon import (
 
 # Neighbours per kd-tree query block: 2**20 int64 indices are 8 MB.
 _QUERY_NEIGHBOURS = 2**20
+
+
+def __getattr__(name):
+    """Import scipy's kd-tree on first use of ``cKDTree`` and keep it as a
+    module global, so commands that never build a tree never load scipy."""
+    if name == "cKDTree":
+        from scipy.spatial import cKDTree
+
+        globals()[name] = cKDTree
+        return cKDTree
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass
@@ -164,7 +175,8 @@ def _conditional_mean(sample: EmpiricalSample, u: np.ndarray, cfg: RegressorConf
         return y.mean() + p_centered @ slope
     if p.shape[1] == 1:
         return _window_means(p[:, 0], y, k)
-    tree = cKDTree(p)
+    # through the module, so the first use imports it and a replaced class is used
+    tree = sys.modules[__name__].cKDTree(p)
     rows = max(1, _QUERY_NEIGHBOURS // k)
     m_hat = np.empty(sample.n)
     for start in range(0, sample.n, rows):

@@ -78,12 +78,6 @@ def _check_unit(u) -> np.ndarray:
     return u
 
 
-def make_projector(u) -> np.ndarray:
-    """P = I - u u', the orthogonal projection onto the hyperplane u-perp."""
-    u = _check_unit(u)
-    return np.eye(u.size) - np.outer(u, u)
-
-
 def regression_coefficient(cov: np.ndarray, u) -> tuple[float, np.ndarray]:
     """The linear regression of u'X on P X for centered X ~ N(0, cov).
 

@@ -24,7 +24,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize, root
 
 from .directions import sphere_directions
 from .errors import DegenerateCloudError, DivergentPolarError, ZonomedError
@@ -125,21 +124,23 @@ def _affine_rank(points: np.ndarray) -> int:
     return int(np.sum(sv > 1e-10 * sv[0]))
 
 
-def _probe_directions(points: np.ndarray) -> np.ndarray:
+def _probe_directions(points: np.ndarray, extra=()) -> np.ndarray:
+    """The axes, the cloud's singular directions and ``extra``, in both signs."""
     d = points.shape[1]
     dirs = list(np.eye(d))
     centered = points - points.mean(axis=0)
     _, _, vt = np.linalg.svd(centered, full_matrices=False)
     dirs.extend(v for v in vt if np.linalg.norm(v) > 0.5)
+    dirs.extend(extra)
     both = np.vstack([dirs, -np.asarray(dirs)])
     return both
 
 
-def _detect_flat(objective, x: np.ndarray, value: float, points: np.ndarray) -> bool:
+def _detect_flat(objective, x: np.ndarray, value: float, points: np.ndarray, extra=()) -> bool:
     """True when the objective is flat (to _FLAT_REL) along some probe direction."""
     h = _PROBE_STEP * _cloud_scale(points)
     threshold = _FLAT_REL * abs(value)
-    for u in _probe_directions(points):
+    for u in _probe_directions(points, extra):
         if abs(objective(x + h * u) - value) <= threshold:
             return True
     return False
@@ -327,7 +328,12 @@ def _face_median(cloud: PointCloud, orders, opts: SolverOptions, constant: float
         return constant + _face_value(groups, y)
 
     value = objective(x)
-    non_unique = _detect_flat(objective, x, value, pts)
+    # A minimum that fills a segment or cell need not lie along any axis or
+    # singular direction of the cloud; the smoothed Hessian's softest
+    # direction at x points along it.
+    _, _, H = _face_value(groups, x, 1e-6 * scale, derivatives=True)
+    softest = np.linalg.eigh(H)[1][:, 0]
+    non_unique = _detect_flat(objective, x, value, pts, (softest,))
     trace = [(y.copy(), objective(y)) for y in path] if opts.keep_trace else None
     return MedianResult(x, value, len(path), stage_done, non_unique, trace)
 
@@ -339,8 +345,9 @@ def vd_median(cloud: PointCloud, opts: SolverOptions | None = None) -> MedianRes
     return _face_median(cloud, (cloud.dim,), opts or SolverOptions())
 
 
-def _nelder_mead_polish(objective, x0: np.ndarray, opts: SolverOptions):
-    """Nelder-Mead with up to two restarts from the incumbent."""
+def _nelder_mead_polish(minimize, objective, x0: np.ndarray, opts: SolverOptions):
+    """Nelder-Mead (``minimize`` is scipy.optimize.minimize) with up to two
+    restarts from the incumbent."""
     x, fx = np.asarray(x0, dtype=float), objective(x0)
     nfev = 0
     success = False
@@ -363,16 +370,6 @@ def _nelder_mead_polish(objective, x0: np.ndarray, opts: SolverOptions):
         if not improved:
             break
     return x, fx, nfev, success
-
-
-def _multistart_minimize(cloud, objective, opts, extra_starts=()):
-    """Nelder-Mead from every start; the best end point and its own success flag."""
-    starts = _start_points(cloud, opts, extra=extra_starts)
-    results = _map_starts(lambda s: _nelder_mead_polish(objective, s, opts), starts, opts.threads)
-    best_x, best_f, _, converged = _merge_results(results)
-    iterations = sum(r[2] for r in results)
-    trace = [(r[0].copy(), r[1]) for r in results] if opts.keep_trace else None
-    return best_x, best_f, iterations, converged, trace
 
 
 def vj_median(cloud: PointCloud, j: int, opts: SolverOptions | None = None) -> MedianResult:
@@ -474,7 +471,16 @@ def polar_median(
     opts: SolverOptions | None = None,
     n_directions: int = 1024,
 ) -> MedianResult:
-    """Maximize the polar-volume surrogate over the query point."""
+    """Maximize the polar-volume surrogate over the query point.
+
+    Nelder-Mead runs from every start (on ``opts.threads`` threads), the best
+    end point wins and reports its own success flag, and a root solve on the
+    gradient polishes it.
+    """
+    # The only scipy import of the median solvers; it runs before any thread
+    # pool starts, so pool workers never import.
+    from scipy.optimize import minimize, root
+
     opts = opts or SolverOptions()
     d = cloud.dim
     if _affine_rank(cloud.points) < d:
@@ -484,10 +490,12 @@ def polar_median(
     def negative(x):
         return -polar_surrogate(x, cloud, directions)
 
-    mean_start = cloud.points.mean(axis=0)
-    best_x, best_neg, iterations, converged, _ = _multistart_minimize(
-        cloud, negative, opts, extra_starts=(mean_start,)
+    starts = _start_points(cloud, opts, extra=(cloud.points.mean(axis=0),))
+    results = _map_starts(
+        lambda s: _nelder_mead_polish(minimize, negative, s, opts), starts, opts.threads
     )
+    best_x, best_neg, _, converged = _merge_results(results)
+    iterations = sum(r[2] for r in results)
     # Stationarity polish.  The maximum sits on a top so flat that function
     # values cannot resolve it, so solve grad = 0 directly instead.
     sol = root(lambda y: _polar_surrogate_with_grad(y, cloud, directions)[1], best_x, method="hybr")

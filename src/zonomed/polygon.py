@@ -144,14 +144,9 @@ def _segment_distances(points: np.ndarray, poly: ConvexPolygon2D) -> np.ndarray:
     return dist
 
 
-def dist_to_polygon(y, poly: ConvexPolygon2D) -> float:
-    """Euclidean distance from a point to a convex polygon (0 if inside)."""
-    y = np.asarray(y, dtype=float).reshape(1, 2)
-    return float(_segment_distances(y, poly)[0])
-
-
 def distances_to_polygon(points, poly: ConvexPolygon2D) -> np.ndarray:
-    """Vectorized dist_to_polygon for an (N, 2) batch."""
+    """Euclidean distance from each point of an (N, 2) batch to a convex
+    polygon (0 inside)."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     out = np.empty(len(pts))
     step = 65_536

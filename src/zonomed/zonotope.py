@@ -111,18 +111,6 @@ class Zonotope:
 
 
 @dataclass(frozen=True)
-class BallConstants:
-    """Volume of the unit ball B_j in R^j."""
-
-    j: int
-    vol: float
-
-    @classmethod
-    def of(cls, j: int) -> "BallConstants":
-        return cls(j, unit_ball_volume(j))
-
-
-@dataclass(frozen=True)
 class MonteCarloEstimate:
     """A sample-mean estimate together with its standard error."""
 
@@ -143,14 +131,6 @@ def unit_ball_volume(j: int) -> float:
     for k in range(2 + j % 2, j + 1, 2):
         vol *= 2.0 * math.pi / k
     return vol
-
-
-def build_discrepancy_zonotope(x, cloud: PointCloud) -> Zonotope:
-    """Zonotope with generators x - x_i, one per sample point, centered at 0."""
-    x = np.asarray(x, dtype=float).reshape(-1)
-    if x.size != cloud.dim:
-        raise ValueError(f"query point has dimension {x.size}, cloud has {cloud.dim}")
-    return Zonotope(x[None, :] - cloud.points)
 
 
 def _wedge_table(d: int, t: int) -> tuple[np.ndarray, np.ndarray]:

@@ -2,12 +2,19 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import zonomed
 from zonomed import empirical
-from zonomed.cli import main
+from zonomed.cli import _read_csv, main
 from zonomed.empirical import EmpiricalSample, RegressorConfig, symmetrize_sample
 
 
@@ -323,3 +330,174 @@ class TestInputHandling:
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["V"] == [1.0, 5.0, 6.0]
+
+
+def _old_read_csv(path):
+    """The per-field float() reader the bulk reader replaced, as a reference."""
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = [ln.strip() for ln in fh if ln.strip()]
+    start = 0
+    try:
+        [float(c) for c in lines[0].split(",")]
+    except ValueError:
+        start = 1
+    return np.asarray([[float(c) for c in ln.split(",")] for ln in lines[start:]], dtype=float)
+
+
+_finite = st.one_of(
+    st.floats(min_value=-1e300, max_value=1e300, allow_nan=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1e-300, -1e300]),
+)
+
+
+class TestCsvReader:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        cols=st.integers(1, 4),
+        data=st.data(),
+        fmt=st.sampled_from([repr, lambda v: "%.17g" % v]),
+    )
+    def test_bitwise_equal_to_per_field_parse(self, cols, data, fmt):
+        rows = data.draw(
+            st.lists(st.lists(_finite, min_size=cols, max_size=cols), min_size=1, max_size=8)
+        )
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "x.csv")
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write("".join(",".join(map(fmt, row)) + "\n" for row in rows))
+            got = _read_csv(path)
+            want = _old_read_csv(path)
+        assert got.dtype == want.dtype and got.shape == want.shape == (len(rows), cols)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            ("a,b\n1,2\n3,4\n", [[1.0, 2.0], [3.0, 4.0]]),
+            ("\n1,2\n\n  \n3,4\n\n", [[1.0, 2.0], [3.0, 4.0]]),
+            ("x,y\r\n1,2\r\n3,4\r\n", [[1.0, 2.0], [3.0, 4.0]]),
+            (" 1 ,  2\n3\t, 4 \n", [[1.0, 2.0], [3.0, 4.0]]),
+            ("v\n1\n-2.5\n3e2\n", [[1.0], [-2.5], [300.0]]),
+            ("1,2,3\n", [[1.0, 2.0, 3.0]]),
+        ],
+        ids=["header", "blank-lines", "crlf", "spaces", "one-column", "one-row"],
+    )
+    def test_layouts(self, tmp_path, text, expected):
+        path = tmp_path / "in.csv"
+        path.write_bytes(text.encode())
+        got = _read_csv(str(path))
+        np.testing.assert_array_equal(got, expected)
+        assert got.shape == np.shape(expected)
+        assert got.tobytes() == _old_read_csv(str(path)).tobytes()
+
+    @pytest.mark.parametrize(
+        "text",
+        ["1,2\n3\n4,5\n", "1,2\n3,4 # note\n", "", "\n \n", "x,y\n", "1_0,2\n3,4\n"],
+        ids=["ragged", "trailing-comment", "empty", "blank-only", "header-only", "underscore"],
+    )
+    def test_malformed_exit_2(self, tmp_path, capsys, text):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        assert main(["intrinsic", "--input", str(path)]) == 2
+        assert "zonomed: error:" in capsys.readouterr().err
+
+    def test_output_sample_bytes(self, tmp_path):
+        # u = e_2 leaves the first coordinate as read, so the extreme values
+        # below reach the writer unchanged
+        rng = np.random.default_rng(5)
+        draws = rng.standard_normal((40, 2))
+        draws[:6, 0] = [-0.0, 5e-324, -1e-300, 1e150, 0.1, -123456789.125]
+        src = tmp_path / "in.csv"
+        src.write_text("".join(f"{a!r},{b!r}\n" for a, b in draws.tolist()))
+        out_csv = tmp_path / "sym.csv"
+        code = main(
+            ["empirical", "symmetrize", "--input", str(src), "--u", "0,1",
+             "--method", "exact_linear", "--output-sample", str(out_csv),
+             "--output", str(tmp_path / "report.json")]
+        )
+        assert code == 0
+        shifted = symmetrize_sample(
+            EmpiricalSample(draws), [0.0, 1.0], RegressorConfig("exact_linear")
+        ).draws
+        expected = "\n".join(",".join(repr(float(v)) for v in row) for row in shifted) + "\n"
+        assert out_csv.read_bytes() == expected.encode()
+        text = out_csv.read_text()
+        assert "\n5e-324," in text and "\n1e+150," in text
+
+
+def _fresh_interpreter(code: str, cwd: Path) -> dict:
+    """Run code in a new Python process with this zonomed importable; its
+    last stdout line, parsed as JSON."""
+    src = str(Path(zonomed.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", code], cwd=cwd, env=env, capture_output=True, text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+_RUN_CLI = """
+import json, sys
+from zonomed.cli import main
+code = main({argv!r})
+print(json.dumps({{"code": code, "scipy": "scipy" in sys.modules}}))
+"""
+
+
+class TestLazyScipy:
+    @pytest.fixture
+    def inputs(self, tmp_path):
+        rng = np.random.default_rng(8)
+        for name, (n, d) in {"plane": (60, 2), "space": (200, 3)}.items():
+            rows = rng.standard_normal((n, d)).tolist()
+            (tmp_path / f"{name}.csv").write_text(
+                "".join(",".join(map(repr, row)) + "\n" for row in rows)
+            )
+        return tmp_path
+
+    def test_import_cli_leaves_scipy_out(self, tmp_path):
+        code = 'import json, sys, zonomed.cli; print(json.dumps("scipy" in sys.modules))'
+        assert _fresh_interpreter(code, tmp_path) is False
+
+    @pytest.mark.parametrize(
+        "argv, loads_scipy",
+        [
+            (["intrinsic", "--input", "plane.csv"], False),
+            (["median", "--objective", "vj", "--j", "2", "--input", "plane.csv", "--seed", "1"],
+             False),
+            (["empirical", "symmetrize", "--input", "plane.csv", "--u", "1,1",
+              "--output-sample", "out.csv"], False),
+            (["median", "--objective", "polar", "--input", "plane.csv", "--seed", "1"], True),
+            (["empirical", "symmetrize", "--input", "space.csv", "--u", "1,1,1",
+              "--output-sample", "out.csv"], True),
+        ],
+        ids=["intrinsic", "median-vj", "symmetrize-plane", "median-polar", "symmetrize-space"],
+    )
+    def test_scipy_loaded_only_where_used(self, inputs, argv, loads_scipy):
+        report = _fresh_interpreter(_RUN_CLI.format(argv=argv + ["--output", "out.json"]), inputs)
+        assert report == {"code": 0, "scipy": loads_scipy}
+        json.loads((inputs / "out.json").read_text())
+
+    def test_replaced_tree_class_is_built(self, tmp_path):
+        code = """
+import json
+import numpy as np
+import zonomed.empirical as emp
+from scipy.spatial import cKDTree
+
+built = []
+
+class Tree(cKDTree):
+    def __init__(self, data, *args, **kwargs):
+        built.append(len(data))
+        super().__init__(data, *args, **kwargs)
+
+setattr(emp, "cKDTree", Tree)
+sample = emp.EmpiricalSample(np.random.default_rng(0).standard_normal((50, 3)))
+emp._conditional_mean(sample, np.array([0.0, 0.6, 0.8]), emp.RegressorConfig("knn", k=4))
+print(json.dumps({"built": built, "same": emp.cKDTree is Tree}))
+"""
+        assert _fresh_interpreter(code, tmp_path) == {"built": [50], "same": True}

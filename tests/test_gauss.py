@@ -9,7 +9,6 @@ from zonomed import (
     GaussianState,
     double_mean_update,
     eigenpair_direction,
-    make_projector,
     regression_coefficient,
     sphere_iterate,
     symmetrize_gaussian,
@@ -36,27 +35,6 @@ class TestGaussianState:
     def test_rejects_shape_mismatch(self):
         with pytest.raises(ValueError):
             GaussianState([0.0, 0.0, 0.0], np.eye(2))
-
-
-class TestProjector:
-    def test_axis(self):
-        np.testing.assert_array_equal(
-            make_projector([1.0, 0.0]), [[0.0, 0.0], [0.0, 1.0]]
-        )
-
-    @pytest.mark.parametrize("seed", range(4))
-    def test_idempotent_and_kills_u(self, seed):
-        rng = np.random.default_rng(seed)
-        u = rng.standard_normal(4)
-        u /= np.linalg.norm(u)
-        p = make_projector(u)
-        np.testing.assert_allclose(p @ p, p, atol=1e-14)
-        np.testing.assert_allclose(p @ u, np.zeros(4), atol=1e-14)
-        np.testing.assert_allclose(p, p.T, atol=0.0)
-
-    def test_rejects_non_unit(self):
-        with pytest.raises(ValueError):
-            make_projector([1.0, 1.0])
 
 
 class TestRegressionCoefficient:
@@ -86,7 +64,7 @@ class TestRegressionCoefficient:
         u = rng.standard_normal(3)
         u /= np.linalg.norm(u)
         _, row = regression_coefficient(cov, u)
-        p = make_projector(u)
+        p = np.eye(3) - np.outer(u, u)
         # regression of u'X on PX has coefficient vector solving
         # (P cov P) w = P cov u restricted to the range of P
         w, *_ = np.linalg.lstsq(p @ cov @ p, p @ cov @ u, rcond=None)

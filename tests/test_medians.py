@@ -461,6 +461,23 @@ class TestFaceSolver:
         assert r.converged
         assert r.value == pytest.approx(_objective(cloud, 3)(r.argmin), rel=1e-12)
 
+    def test_oja_segment_minimum_flagged(self):
+        # the minimum fills a segment along no axis or singular direction of
+        # the cloud; the two solves land 1.9e-7 scale apart on it
+        rng = np.random.default_rng(332598)
+        pts = _mixed_cloud(rng, 8, 3)
+        R, t = rotation_matrix(rng, 3), 3.0 * rng.standard_normal(3)
+        base = vd_median(PointCloud(pts))
+        moved = vd_median(PointCloud(pts @ R.T + t))
+        assert base.converged and moved.converged
+        assert base.non_unique and moved.non_unique
+        assert moved.value == pytest.approx(base.value, rel=1e-12)
+        # the flat direction is real: the |det| reference barely moves along it
+        segment = R.T @ (moved.argmin - t) - base.argmin
+        objective = _objective(PointCloud(pts), 3)
+        far = base.argmin + 20.0 * segment
+        assert objective(far) == pytest.approx(base.value, rel=1e-12)
+
     def test_wills_of_two_points_is_the_segment(self):
         # W = 1 + (|x-a| + |x-b|) + |(x-a) x (x-b)|, minimized on all of [a, b]
         cloud = PointCloud([[0.0, 0.0], [2.0, 0.0]])

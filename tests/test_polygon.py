@@ -9,7 +9,6 @@ from zonomed import (
     ConvexPolygon2D,
     FlatZonotopeError,
     Zonotope,
-    dist_to_polygon,
     distances_to_polygon,
     intrinsic_volume,
     steiner_polynomial_check_2d,
@@ -103,19 +102,19 @@ class TestDistance:
     square = ConvexPolygon2D([[0, 0], [1, 0], [1, 1], [0, 1]])
 
     def test_inside_zero(self):
-        assert dist_to_polygon([0.4, 0.6], self.square) == 0.0
+        assert distances_to_polygon([[0.4, 0.6]], self.square)[0] == 0.0
 
     def test_axis_outside(self):
-        assert dist_to_polygon([2.0, 0.0], self.square) == pytest.approx(1.0)
+        assert distances_to_polygon([[2.0, 0.0]], self.square)[0] == pytest.approx(1.0)
 
     def test_corner_outside(self):
-        assert dist_to_polygon([2.0, 2.0], self.square) == pytest.approx(math.sqrt(2.0))
+        assert distances_to_polygon([[2.0, 2.0]], self.square)[0] == pytest.approx(math.sqrt(2.0))
 
     def test_batch_matches_scalar(self):
         rng = np.random.default_rng(4)
         pts = rng.uniform(-2, 3, size=(50, 2))
         batch = distances_to_polygon(pts, self.square)
-        singles = [dist_to_polygon(p, self.square) for p in pts]
+        singles = [distances_to_polygon(p, self.square)[0] for p in pts]
         np.testing.assert_allclose(batch, singles, atol=1e-14)
 
 

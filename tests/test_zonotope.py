@@ -9,10 +9,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from zonomed import (
-    BallConstants,
     PointCloud,
     Zonotope,
-    build_discrepancy_zonotope,
     intrinsic_volume,
     mc_intrinsic_volume,
     unit_ball_volume,
@@ -54,34 +52,8 @@ class TestTypes:
         assert unit_ball_volume(1) == 2.0
         assert unit_ball_volume(2) == pytest.approx(math.pi, rel=1e-15)
         assert unit_ball_volume(3) == pytest.approx(4.0 * math.pi / 3.0, rel=1e-15)
-        assert BallConstants.of(2).vol == unit_ball_volume(2)
         with pytest.raises(ValueError):
             unit_ball_volume(-1)
-
-
-class TestDiscrepancyZonotope:
-    def test_direct_subtraction(self):
-        cloud = PointCloud([[1.0, 0.0], [0.0, 1.0]])
-        z = build_discrepancy_zonotope([0.0, 0.0], cloud)
-        np.testing.assert_array_equal(z.generators, [[-1.0, 0.0], [0.0, -1.0]])
-        np.testing.assert_array_equal(z.center, [0.0, 0.0])
-
-    def test_single_point_zero_generator(self):
-        cloud = PointCloud([[2.0, 3.0]])
-        z = build_discrepancy_zonotope([2.0, 3.0], cloud)
-        np.testing.assert_array_equal(z.generators, [[0.0, 0.0]])
-
-    def test_three_points(self):
-        cloud = PointCloud([[0.0, 0.0], [2.0, 0.0], [0.0, 2.0]])
-        z = build_discrepancy_zonotope([1.0, 1.0], cloud)
-        np.testing.assert_array_equal(
-            z.generators, [[1.0, 1.0], [-1.0, 1.0], [1.0, -1.0]]
-        )
-
-    def test_dimension_mismatch(self):
-        cloud = PointCloud([[0.0, 0.0]])
-        with pytest.raises(ValueError):
-            build_discrepancy_zonotope([1.0, 2.0, 3.0], cloud)
 
 
 class TestIntrinsicVolume:
