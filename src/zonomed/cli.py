@@ -12,6 +12,7 @@ import math
 import os
 import sys
 import tempfile
+from dataclasses import asdict
 
 import numpy as np
 
@@ -28,7 +29,7 @@ from .empirical import (
     theorem1_check,
 )
 from .errors import ZonomedError
-from .gauss import GaussianState, SymmetrizationStep, sphere_iterate, symmetrize_gaussian
+from .gauss import GaussianState, SymmetrizationTrace, sphere_iterate, symmetrize_gaussian
 from .medians import MedianProblem, PointCloud, SolverOptions
 from .polygon import polygon_from_json_dict
 # wills_functional is not called here (``intrinsic`` sums the V_j it has
@@ -48,8 +49,17 @@ def _env_threads() -> int:
         return 1
 
 
+def _is_number(field: str) -> bool:
+    try:
+        float(field)
+    except ValueError:
+        return False
+    return True
+
+
 def _read_csv(path: str) -> np.ndarray:
-    """Comma-separated rows of numbers; a non-numeric first row is a header.
+    """Comma-separated rows of numbers.  The first row is a header when none of
+    its fields is a number; it must have as many fields as the data rows.
 
     Blank lines are skipped and spaces around fields are allowed.  ``#`` does
     not start a comment: a data row that holds one is malformed.
@@ -58,16 +68,12 @@ def _read_csv(path: str) -> np.ndarray:
         lines = [ln for ln in map(str.strip, fh) if ln]
     if not lines:
         raise ValueError(f"{path}: empty file")
-    try:
-        [float(c) for c in lines[0].split(",")]
-        rows = lines
-    except ValueError:
-        rows = lines[1:]
-    if not rows:
-        raise ValueError(f"{path}: no data rows")
-    widths = {ln.count(",") + 1 for ln in rows}
+    widths = {ln.count(",") + 1 for ln in lines}
     if len(widths) != 1:
         raise ValueError(f"{path}: ragged rows (widths {sorted(widths)})")
+    rows = lines if any(map(_is_number, lines[0].split(","))) else lines[1:]
+    if not rows:
+        raise ValueError(f"{path}: no data rows")
     return np.loadtxt(rows, delimiter=",", ndmin=2, comments=None)
 
 
@@ -95,37 +101,25 @@ def _write_output(text: str, path: str) -> None:
         raise
 
 
-def _jsonable(obj):
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    return obj
-
-
 def _dumps(payload: dict) -> str:
-    return json.dumps(_jsonable(payload), sort_keys=True, separators=(",", ":")) + "\n"
+    """Strict JSON (a non-finite value raises ValueError), one line."""
+    return json.dumps(
+        payload, sort_keys=True, separators=(",", ":"), allow_nan=False,
+        default=lambda o: o.tolist(),
+    ) + "\n"
 
 
-def _step_dict(step: SymmetrizationStep) -> dict:
-    return {
-        "kind": step.kind,
-        "direction": step.direction,
-        "eigenvalues_before": step.eigenvalues_before,
-        "eigenvalues_after": step.eigenvalues_after,
-        "det": step.det,
-        "trace": step.trace,
-        "mean_norm": step.mean_norm,
-    }
+def _config(args) -> dict:
+    """Every parsed option except the output paths, plus the version."""
+    hidden = ("func", "output", "output_sample", "empirical_command")
+    config = {k: v for k, v in vars(args).items() if k not in hidden}
+    if "empirical_command" in vars(args):
+        config["command"] += " " + args.empirical_command
+    return dict(config, version=__version__)
 
 
 def _cmd_median(args) -> int:
-    points = _read_csv(args.input)
-    cloud = PointCloud(points)
+    cloud = PointCloud(_read_csv(args.input))
     opts = SolverOptions(
         tolerance=args.tolerance,
         max_iter=args.max_iter,
@@ -134,30 +128,10 @@ def _cmd_median(args) -> int:
         keep_trace=args.emit_trace,
         threads=_env_threads(),
     )
-    problem = MedianProblem(cloud, args.objective, j=args.j, options=opts)
-    result = problem.solve()
-    config = {
-        "command": "median",
-        "input": args.input,
-        "objective": args.objective,
-        "j": args.j,
-        "tolerance": args.tolerance,
-        "max_iter": args.max_iter,
-        "multistarts": args.multistarts,
-        "seed": args.seed,
-        "emit_trace": args.emit_trace,
-        "version": __version__,
-    }
-    payload = {
-        "config": config,
-        "argmin": result.argmin,
-        "value": result.value,
-        "iterations": result.iterations,
-        "converged": result.converged,
-        "non_unique": result.non_unique,
-    }
-    if args.emit_trace:
-        payload["trace"] = [[pt, val] for pt, val in (result.trace or [])]
+    result = MedianProblem(cloud, args.objective, j=args.j, options=opts).solve()
+    payload = dict(asdict(result), config=_config(args))
+    if not args.emit_trace:
+        del payload["trace"]
     _write_output(_dumps(payload), args.output)
     return EXIT_OK if result.converged else EXIT_NO_CONVERGENCE
 
@@ -169,24 +143,16 @@ def _cmd_intrinsic(args) -> int:
     zono = Zonotope(gens)
     d = zono.dim
     volumes = [intrinsic_volume(zono, j) for j in range(d + 1)]
-    config = {
-        "command": "intrinsic",
-        "input": args.input,
-        "mc": args.mc,
-        "seed": args.seed,
-        "version": __version__,
-    }
     payload = {
-        "config": config,
+        "config": _config(args),
         "V": volumes,
         "wills": 1.0 + math.fsum(volumes[1:]),
     }
     if args.mc is not None:
-        mc = {}
+        payload["mc"] = {}
         for j in range(1, d + 1):
             est = mc_intrinsic_volume(zono, j, args.mc, args.seed + j)
-            mc[str(j)] = {"estimate": est.estimate, "std_error": est.std_error}
-        payload["mc"] = mc
+            payload["mc"][str(j)] = {"estimate": est.estimate, "std_error": est.std_error}
     _write_output(_dumps(payload), args.output)
     return EXIT_OK
 
@@ -194,38 +160,20 @@ def _cmd_intrinsic(args) -> int:
 def _cmd_gauss(args) -> int:
     with open(args.input, "r", encoding="utf-8") as fh:
         data = json.load(fh)
-    state = GaussianState(np.asarray(data["mean"], dtype=float),
-                          np.asarray(data["cov"], dtype=float))
-    config = {
-        "command": "gauss",
-        "input": args.input,
-        "u": args.u,
-        "spherize": args.spherize,
-        "tol": args.tol,
-        "max_iter": args.max_iter,
-        "version": __version__,
-    }
-    exit_code = EXIT_OK
+    state = GaussianState(data["mean"], data["cov"])
     if args.spherize:
         final, trace = sphere_iterate(state, tol=args.tol, max_iter=args.max_iter)
-        steps = [_step_dict(s) for s in trace.steps]
-        converged = trace.converged
-        if not converged:
-            exit_code = EXIT_NO_CONVERGENCE
     else:
-        u = _parse_vector(args.u)
-        final = symmetrize_gaussian(state, u)
-        steps = []
-        converged = True
-    payload = {
-        "config": config,
-        "mean": final.mean,
-        "cov": final.cov,
-        "converged": converged,
-        "trace": steps,
-    }
+        final = symmetrize_gaussian(state, _parse_vector(args.u))
+        trace = SymmetrizationTrace(converged=True)
+    payload = dict(
+        asdict(final),
+        config=_config(args),
+        converged=trace.converged,
+        trace=[asdict(step) for step in trace.steps],
+    )
     _write_output(_dumps(payload), args.output)
-    return exit_code
+    return EXIT_OK if trace.converged else EXIT_NO_CONVERGENCE
 
 
 def _regressor(args) -> RegressorConfig:
@@ -233,80 +181,45 @@ def _regressor(args) -> RegressorConfig:
     return RegressorConfig(method=args.method, k=k)
 
 
-def _cmd_empirical(args) -> int:
+def _cmd_symmetrize(args) -> int:
     cfg = _regressor(args)
-    if args.empirical_command == "symmetrize":
-        sample = EmpiricalSample(_read_csv(args.input))
-        u = _parse_vector(args.u)
-        reduction = norm_reduction_check(sample, u, cfg)
-        if args.output_sample:
-            rows = reduction.symmetrized.draws.tolist()
-            buf = "\n".join(",".join(map(repr, row)) for row in rows) + "\n"
-            _write_output(buf, args.output_sample)
-        payload = {
-            "config": _empirical_config(args),
-            "before_mean_square": reduction.before,
-            "after_mean_square": reduction.after,
-            "decrease": reduction.decrease,
-            "regression_mean_square": reduction.regression_mean_square,
-        }
-        _write_output(_dumps(payload), args.output)
-        return EXIT_OK
-    if args.empirical_command == "theorem1":
-        with open(args.polygon, "r", encoding="utf-8") as fh:
-            poly = polygon_from_json_dict(json.load(fh))
-        u = _parse_vector(args.u)
-        report = theorem1_check(poly, u, args.n, cfg, seed=args.seed, delta=args.delta)
-        payload = {
-            "config": _empirical_config(args),
-            "n": report.n,
-            "delta": report.delta,
-            "inside_fraction": report.inside_fraction,
-            "chi_square": report.chi_square,
-            "chi_square_dof": report.chi_square_dof,
-            "area_original": report.area_original,
-            "area_symmetral": report.area_symmetral,
-            "area_rel_error": report.area_rel_error,
-        }
-        _write_output(_dumps(payload), args.output)
-        return EXIT_OK
-    # explore
+    sample = EmpiricalSample(_read_csv(args.input))
+    reduction = norm_reduction_check(sample, _parse_vector(args.u), cfg)
+    text = _dumps({
+        "config": _config(args),
+        "before_mean_square": reduction.before,
+        "after_mean_square": reduction.after,
+        "decrease": reduction.decrease,
+        "regression_mean_square": reduction.regression_mean_square,
+    })
+    if args.output_sample:
+        rows = reduction.symmetrized.draws.tolist()
+        buf = "\n".join(",".join(map(repr, row)) for row in rows) + "\n"
+        _write_output(buf, args.output_sample)
+    _write_output(text, args.output)
+    return EXIT_OK
+
+
+def _cmd_theorem1(args) -> int:
+    cfg = _regressor(args)
+    with open(args.polygon, "r", encoding="utf-8") as fh:
+        poly = polygon_from_json_dict(json.load(fh))
+    report = theorem1_check(
+        poly, _parse_vector(args.u), args.n, cfg, seed=args.seed, delta=args.delta
+    )
+    _write_output(_dumps(dict(asdict(report), config=_config(args))), args.output)
+    return EXIT_OK
+
+
+def _cmd_explore(args) -> int:
+    cfg = _regressor(args)
     sample = EmpiricalSample(_read_csv(args.input))
     reports = conjecture_explorer(
         sample, args.steps, direction_policy=args.policy, cfg=cfg, seed=args.seed
     )
-    lines = []
-    for rep in reports:
-        lines.append(
-            _dumps(
-                {
-                    "config": _empirical_config(args),
-                    "step": rep.step,
-                    "direction": rep.direction,
-                    "anisotropy": rep.anisotropy,
-                    "mean_norm": rep.mean_norm,
-                    "mean_square_norm": rep.mean_square_norm,
-                    "symmetry_stat": rep.symmetry_stat,
-                    "mean_square_decrease": rep.mean_square_decrease,
-                    "regression_mean_square": rep.regression_mean_square,
-                }
-            )
-        )
+    lines = [_dumps(dict(asdict(rep), config=_config(args))) for rep in reports]
     _write_output("".join(lines), args.output)
     return EXIT_OK
-
-
-def _empirical_config(args) -> dict:
-    cfg = {
-        "command": f"empirical {args.empirical_command}",
-        "method": args.method,
-        "k": args.k,
-        "version": __version__,
-    }
-    for name in ("input", "polygon", "u", "n", "steps", "policy", "seed", "delta"):
-        if hasattr(args, name):
-            cfg[name] = getattr(args, name)
-    return cfg
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -328,15 +241,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_med.add_argument("--seed", type=int, required=True)
     p_med.add_argument("--emit-trace", action="store_true")
-    p_med.add_argument("--output", default="-")
-    p_med.set_defaults(func=_cmd_median)
 
     p_int = sub.add_parser("intrinsic", help="intrinsic volumes of a generator CSV")
     p_int.add_argument("--input", required=True, help="CSV of generators, one per row")
     p_int.add_argument("--mc", type=int, default=None, help="add Monte Carlo estimates")
     p_int.add_argument("--seed", type=int, default=None)
-    p_int.add_argument("--output", default="-")
-    p_int.set_defaults(func=_cmd_intrinsic)
 
     p_gauss = sub.add_parser("gauss", help="symmetrize a Gaussian state (JSON mean/cov)")
     p_gauss.add_argument("--input", required=True)
@@ -345,8 +254,6 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--spherize", action="store_true", help="iterate to spherical symmetry")
     p_gauss.add_argument("--tol", type=float, default=1e-10)
     p_gauss.add_argument("--max-iter", type=int, default=1000)
-    p_gauss.add_argument("--output", default="-")
-    p_gauss.set_defaults(func=_cmd_gauss)
 
     p_emp = sub.add_parser("empirical", help="sample-based symmetrization tools")
     emp_sub = p_emp.add_subparsers(dest="empirical_command", required=True)
@@ -357,8 +264,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sym.add_argument("--method", choices=["knn", "exact_linear"], default="knn")
     p_sym.add_argument("--k", default="auto")
     p_sym.add_argument("--output-sample", default=None, help="write symmetrized CSV here")
-    p_sym.add_argument("--output", default="-")
-    p_sym.set_defaults(func=_cmd_empirical)
 
     p_thm = emp_sub.add_parser("theorem1", help="uniform-law check on a polygon")
     p_thm.add_argument("--polygon", required=True, help="JSON with a 'vertices' list")
@@ -368,8 +273,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_thm.add_argument("--k", default="auto")
     p_thm.add_argument("--seed", type=int, required=True)
     p_thm.add_argument("--delta", type=float, default=None)
-    p_thm.add_argument("--output", default="-")
-    p_thm.set_defaults(func=_cmd_empirical)
 
     p_exp = emp_sub.add_parser("explore", help="repeated symmetrization diagnostics")
     p_exp.add_argument("--input", required=True)
@@ -382,15 +285,17 @@ def build_parser() -> argparse.ArgumentParser:
     p_exp.add_argument("--method", choices=["knn", "exact_linear"], default="knn")
     p_exp.add_argument("--k", default="auto")
     p_exp.add_argument("--seed", type=int, required=True)
-    p_exp.add_argument("--output", default="-")
-    p_exp.set_defaults(func=_cmd_empirical)
+
+    for p, func in ((p_med, _cmd_median), (p_int, _cmd_intrinsic), (p_gauss, _cmd_gauss),
+                    (p_sym, _cmd_symmetrize), (p_thm, _cmd_theorem1), (p_exp, _cmd_explore)):
+        p.add_argument("--output", default="-")
+        p.set_defaults(func=func)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (ZonomedError, ValueError, OSError, KeyError, json.JSONDecodeError) as exc:

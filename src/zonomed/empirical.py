@@ -411,14 +411,13 @@ def _symmetry_statistic(draws: np.ndarray) -> float:
     return stat
 
 
-def _isotropy_numbers(draws: np.ndarray) -> tuple[float, float, float]:
+def _isotropy_numbers(draws: np.ndarray) -> tuple[float, float]:
     cov = np.cov(draws, rowvar=False)
     cov = np.atleast_2d(cov)
     eigs = np.linalg.eigvalsh(cov)
     anisotropy = float(eigs[-1] / eigs[0]) if eigs[0] > 0.0 else math.inf
     mean_norm = float(np.linalg.norm(draws.mean(axis=0)))
-    mean_square = float(np.mean((draws**2).sum(axis=1)))
-    return anisotropy, mean_norm, mean_square
+    return anisotropy, mean_norm
 
 
 def conjecture_explorer(
@@ -457,20 +456,19 @@ def conjecture_explorer(
                 _, v = _sorted_eigh(cov)
                 u = v[:, 0] + v[:, -1]
                 u /= np.linalg.norm(u)
-        m_hat = _conditional_mean(sample, u, cfg)
-        before_ms = float(np.mean((sample.draws**2).sum(axis=1)))
-        sample = _shifted(sample, u, m_hat)
-        anisotropy, mean_norm, mean_square = _isotropy_numbers(sample.draws)
+        reduction = norm_reduction_check(sample, u, cfg)
+        sample = reduction.symmetrized
+        anisotropy, mean_norm = _isotropy_numbers(sample.draws)
         reports.append(
             IsotropyReport(
                 step=step,
                 direction=u.copy(),
                 anisotropy=anisotropy,
                 mean_norm=mean_norm,
-                mean_square_norm=mean_square,
+                mean_square_norm=reduction.after,
                 symmetry_stat=_symmetry_statistic(sample.draws),
-                mean_square_decrease=before_ms - mean_square,
-                regression_mean_square=float(np.mean(m_hat**2)),
+                mean_square_decrease=reduction.decrease,
+                regression_mean_square=reduction.regression_mean_square,
             )
         )
     return reports

@@ -36,9 +36,7 @@ class ConvexPolygon2D:
 
     @property
     def area(self) -> float:
-        v = self.vertices
-        w = np.roll(v, -1, axis=0)
-        return 0.5 * float(np.sum(v[:, 0] * w[:, 1] - w[:, 0] * v[:, 1]))
+        return polygon_area(self.vertices)
 
     @property
     def perimeter(self) -> float:

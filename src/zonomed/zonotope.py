@@ -328,9 +328,7 @@ def mc_intrinsic_volume(
 
 def wills_functional(zonotope: Zonotope) -> float:
     """W(Z) = 1 + V_1(Z) + ... + V_d(Z)."""
-    return 1.0 + math.fsum(
-        intrinsic_volume(zonotope, j) for j in range(1, zonotope.dim + 1)
-    )
+    return wills_of_generators(zonotope.generators, zonotope.dim)
 
 
 def wills_of_generators(generators: np.ndarray, dim: int) -> float:

@@ -212,11 +212,6 @@ class TestEmpiricalCommand:
         )
         assert code == 0
         assert len(calls) == 1
-        payload = json.loads(out.read_text())
-        assert set(payload) == {
-            "config", "before_mean_square", "after_mean_square", "decrease",
-            "regression_mean_square",
-        }
         sample = EmpiricalSample(np.loadtxt(sample_csv, delimiter=","))
         u = np.array([1.0, 1.0]) / np.linalg.norm([1.0, 1.0])
         expected = symmetrize_sample(sample, u, RegressorConfig("knn"))
@@ -246,12 +241,111 @@ class TestEmpiricalCommand:
         assert len(lines) == 5
         assert json.loads(lines[0])["step"] == 1
 
+    @pytest.mark.parametrize(
+        "argv, text",
+        [
+            (["empirical", "symmetrize", "--u", "1,0", "--method", "exact_linear",
+              "--output-sample", "sym.csv"], "1e200,1\n-1e200,2\n3,4\n5,6\n"),
+            (["empirical", "explore", "--steps", "2", "--policy", "cyclic_axes",
+              "--method", "exact_linear", "--seed", "1"], "1,3\n2,3\n4,3\n-1,3\n"),
+        ],
+        ids=["overflow", "singular-covariance"],
+    )
+    def test_non_finite_output_exit_2(self, tmp_path, monkeypatch, capsys, argv, text):
+        # before_mean_square overflows to inf (decrease is nan); a constant
+        # column makes the anisotropy inf.  Strict JSON has neither, so the
+        # command fails before it writes any file.
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "in.csv").write_text(text)
+        with np.errstate(all="ignore"):
+            code = main(argv + ["--input", "in.csv", "--output", "out.json"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("zonomed: error:") and "JSON" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["in.csv"]
+
     def test_k_exceeds_n_exit_2(self, sample_csv):
         code = main(
             ["empirical", "symmetrize", "--input", sample_csv, "--u", "1,0",
              "--method", "knn", "--k", "999999"]
         )
         assert code == 2
+
+
+_MEDIAN = {"argmin", "config", "converged", "iterations", "non_unique", "value"}
+_MEDIAN_CONFIG = {
+    "command", "emit_trace", "input", "j", "max_iter", "multistarts", "objective", "seed",
+    "tolerance", "version",
+}
+_GAUSS = {"config", "converged", "cov", "mean", "trace"}
+_GAUSS_CONFIG = {"command", "input", "max_iter", "spherize", "tol", "u", "version"}
+_STEP = {"det", "direction", "eigenvalues_after", "eigenvalues_before", "kind", "mean_norm",
+         "trace"}
+_EXPLORE = {
+    "anisotropy", "config", "direction", "mean_norm", "mean_square_decrease",
+    "mean_square_norm", "regression_mean_square", "step", "symmetry_stat",
+}
+_EXPLORE_CONFIG = {"command", "input", "k", "method", "policy", "seed", "steps", "version"}
+
+
+class TestOutputSchema:
+    """The exact keys each subcommand writes.  Payloads are built from the
+    result dataclasses, so renaming a field changes the output; this is the
+    test that notices.  ``inner`` names a key whose every item (list entry or
+    dict value) must have the given key set."""
+
+    @pytest.mark.parametrize(
+        "argv, top, config, inner",
+        [
+            (["median", "--j", "2", "--input", "@tri_csv", "--seed", "1"],
+             _MEDIAN, _MEDIAN_CONFIG, None),
+            (["median", "--objective", "wills", "--input", "@tri_csv", "--seed", "1",
+              "--emit-trace"], _MEDIAN | {"trace"}, _MEDIAN_CONFIG, None),
+            (["intrinsic", "--input", "@gens_csv"], {"V", "config", "wills"},
+             {"command", "input", "mc", "seed", "version"}, None),
+            (["intrinsic", "--input", "@gens_csv", "--mc", "100", "--seed", "1"],
+             {"V", "config", "mc", "wills"}, {"command", "input", "mc", "seed", "version"},
+             ("mc", {"estimate", "std_error"})),
+            (["gauss", "--input", "@gauss_json", "--u", "1,1"], _GAUSS, _GAUSS_CONFIG, None),
+            (["gauss", "--input", "@gauss_json", "--spherize"], _GAUSS, _GAUSS_CONFIG,
+             ("trace", _STEP)),
+            (["empirical", "symmetrize", "--input", "@sample_csv", "--u", "1,1",
+              "--output-sample", "sym.csv"],
+             {"after_mean_square", "before_mean_square", "config", "decrease",
+              "regression_mean_square"},
+             {"command", "input", "k", "method", "u", "version"}, None),
+            (["empirical", "theorem1", "--polygon", "@square_json", "--u", "1,1", "--n", "2000",
+              "--seed", "1"],
+             {"area_original", "area_rel_error", "area_symmetral", "chi_square",
+              "chi_square_dof", "config", "delta", "inside_fraction", "n"},
+             {"command", "delta", "k", "method", "n", "polygon", "seed", "u", "version"}, None),
+            (["empirical", "explore", "--input", "@sample_csv", "--steps", "2", "--seed", "1"],
+             _EXPLORE, _EXPLORE_CONFIG, None),
+            (["empirical", "explore", "--input", "@sample_csv", "--steps", "2", "--seed", "1",
+              "--policy", "cyclic_axes", "--method", "exact_linear"],
+             _EXPLORE, _EXPLORE_CONFIG, None),
+            (["empirical", "explore", "--input", "@sample_csv", "--steps", "2", "--seed", "1",
+              "--policy", "max_anisotropy"], _EXPLORE, _EXPLORE_CONFIG, None),
+        ],
+        ids=["median", "median-trace", "intrinsic", "intrinsic-mc", "gauss-u", "gauss-spherize",
+             "symmetrize", "theorem1", "explore-random", "explore-cyclic", "explore-anisotropy"],
+    )
+    def test_keys(self, request, tmp_path, monkeypatch, argv, top, config, inner):
+        argv = [request.getfixturevalue(a[1:]) if a.startswith("@") else a for a in argv]
+        monkeypatch.chdir(tmp_path)
+        code, raw = run_to_file(argv, tmp_path / "out.json")
+        assert code == 0
+        lines = raw.decode().splitlines()
+        assert len(lines) == (2 if argv[:2] == ["empirical", "explore"] else 1)
+        for line in lines:
+            payload = json.loads(line)
+            assert set(payload) == top
+            assert set(payload["config"]) == config
+            if inner is not None:
+                key, keys = inner
+                items = payload[key]
+                items = items.values() if isinstance(items, dict) else items
+                assert items and all(set(item) == keys for item in items)
 
 
 class TestDeterminism:
@@ -379,8 +473,11 @@ class TestCsvReader:
             (" 1 ,  2\n3\t, 4 \n", [[1.0, 2.0], [3.0, 4.0]]),
             ("v\n1\n-2.5\n3e2\n", [[1.0], [-2.5], [300.0]]),
             ("1,2,3\n", [[1.0, 2.0, 3.0]]),
+            ("x,y\n1,2\n", [[1.0, 2.0]]),
+            ("v\n1\n", [[1.0]]),
         ],
-        ids=["header", "blank-lines", "crlf", "spaces", "one-column", "one-row"],
+        ids=["header", "blank-lines", "crlf", "spaces", "one-column", "one-row",
+             "header-one-row", "header-one-value"],
     )
     def test_layouts(self, tmp_path, text, expected):
         path = tmp_path / "in.csv"
@@ -392,8 +489,10 @@ class TestCsvReader:
 
     @pytest.mark.parametrize(
         "text",
-        ["1,2\n3\n4,5\n", "1,2\n3,4 # note\n", "", "\n \n", "x,y\n", "1_0,2\n3,4\n"],
-        ids=["ragged", "trailing-comment", "empty", "blank-only", "header-only", "underscore"],
+        ["1,2\n3\n4,5\n", "1,2\n3,4 # note\n", "", "\n \n", "x,y\n", "1_0,2\n3,4\n",
+         "1,2x\n3,4\n", "# note\n1,2\n", "x,y\n1,2,3\n"],
+        ids=["ragged", "trailing-comment", "empty", "blank-only", "header-only", "underscore",
+             "first-row-typo", "leading-comment", "header-width"],
     )
     def test_malformed_exit_2(self, tmp_path, capsys, text):
         path = tmp_path / "bad.csv"
