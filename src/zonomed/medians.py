@@ -13,7 +13,8 @@ functional 1 + sum_j V_j are convex.  j = 1 is solved by Weiszfeld
 iteration.  Every other V_j and the Wills functional go through one solver:
 the face forms (a_S, w_S, N_S) are computed once, and a damped Newton method
 minimizes the smoothed sum w_S sqrt(r_S^2 + eps^2) while eps shrinks to
-zero.  The polar objective is not convex and keeps multistart Nelder-Mead.
+zero.  The polar objective is not convex: a loose Nelder-Mead screen runs
+from several starts and only the winner is polished to full tolerance.
 """
 
 from __future__ import annotations
@@ -42,6 +43,12 @@ from .zonotope import (
 _PROBE_STEP = 1e-3
 _FLAT_REL = 1e-9
 
+# Polar screen: each start's single Nelder-Mead round stops once its simplex
+# is this share of the cloud scale wide and its values agree to this share
+# of 1 + |f|; only the winner gets the full-tolerance polish.
+_SCREEN_XATOL = 1e-4
+_SCREEN_FATOL = 1e-8
+
 # Bytes the face forms of one solve may take while they are built; larger
 # problems fail before any subset is listed.
 _FACE_CACHE_BYTES = 1 << 29
@@ -49,9 +56,11 @@ _FACE_CACHE_BYTES = 1 << 29
 
 @dataclass
 class SolverOptions:
-    """``tolerance`` stops Weiszfeld (j = 1) and Nelder-Mead (polar); the face-form
-    Newton solver has its own scale-relative stop rule.  ``max_iter`` caps
-    every solver; ``multistarts`` and ``threads`` apply to polar only."""
+    """``tolerance`` stops Weiszfeld (j = 1) and the polish of the polar
+    screen's winner; the polar screen and the face-form Newton solver have
+    their own scale-relative stop rules.  ``max_iter`` caps every solver (for
+    polar, each Nelder-Mead round); ``multistarts`` and ``threads`` apply to
+    polar only."""
 
     tolerance: float = 1e-8
     max_iter: int = 10_000
@@ -435,35 +444,60 @@ def polar_objective(x, cloud: PointCloud, sphere_samples: int, seed: int) -> Mon
     return MonteCarloEstimate(mean, se, sphere_samples)
 
 
+def _polar_evaluator(points: np.ndarray, directions: np.ndarray):
+    """The polar surrogate sa * mean_u h_u(x)^(-d) and its a.e. gradient, as
+    one function of x built once per cloud.
+
+    Each direction's projections c_i = <u, x_i - m> (m the cloud mean) are
+    sorted once, with prefix sums S_k.  At x, t = <u, x - m> has rank k, the
+    count of c_i < t, and the width h_u = sum_i |t - c_i| = t(2k - n) + S_n - 2 S_k
+    has gradient (2k - n) u.  The ranks come from one search of all rows laid
+    end to end (row r shifted by 2 r times the projections' span); the
+    rounding of those shifts is undone against the unshifted rows, so every
+    rank is exact.  A zero width makes the value infinite.
+    """
+    n, d = points.shape
+    center = points.mean(axis=0)
+    c = np.sort(directions @ (points - center).T, axis=1)  # (M, n)
+    m = len(c)
+    rows = np.arange(m)
+    # Row r of the padded tables holds rank k at flat index (n + 2) r + k.
+    first, last, to_padded = (n + 2) * rows, (n + 2) * rows + n, 2 * rows
+    inf = np.full((m, 1), np.inf)
+    below = np.hstack([-inf, c, inf]).ravel()  # c_{k-1} at rank k
+    prefix = np.zeros((m, n + 2))
+    np.cumsum(c, axis=1, out=prefix[:, 1 : n + 1])
+    rest = (prefix[:, n : n + 1] - 2.0 * prefix).ravel()  # S_n - 2 S_k at rank k
+    offsets = 2.0 * float(c.max() - c.min()) * rows
+    shifted = (c + offsets[:, None]).ravel()
+    sa = sphere_surface_area(d)
+
+    def evaluate(x) -> tuple[float, np.ndarray]:
+        t = directions @ (x - center)
+        i = np.searchsorted(shifted, t + offsets) + to_padded
+        np.maximum(i, first, out=i)
+        np.minimum(i, last, out=i)
+        while True:  # step each rank until c_{k-1} < t <= c_k
+            down = below[i] >= t
+            up = below[i + 1] < t
+            if not (down.any() or up.any()):
+                break
+            i += up
+            i -= down
+        slope = 2 * (i - first) - n
+        h = t * slope + rest[i]
+        if not h.min() > 0.0:
+            return math.inf, np.zeros(d)
+        p = h ** (-float(d))
+        return sa / m * float(p.sum()), (-d * sa / m) * ((p / h * slope) @ directions)
+
+    return evaluate
+
+
 def polar_surrogate(x, cloud: PointCloud, directions: np.ndarray) -> float:
     """Deterministic polar objective over a fixed direction set (common random
     numbers), so derivative-free search sees a stable landscape."""
-    x = np.asarray(x, dtype=float).reshape(-1)
-    d = cloud.dim
-    support_sums = np.abs(directions @ (x[None, :] - cloud.points).T).sum(axis=1)
-    if np.any(support_sums == 0.0):
-        return math.inf
-    return sphere_surface_area(d) * float(np.mean(support_sums ** (-float(d))))
-
-
-def _polar_surrogate_with_grad(x, cloud: PointCloud, directions: np.ndarray):
-    """Surrogate value and its exact (a.e.) gradient in x.
-
-    The maximum sits on a very flat top, so function values alone cannot
-    localize it; the analytic gradient can.
-    """
-    x = np.asarray(x, dtype=float).reshape(-1)
-    d = cloud.dim
-    proj = directions @ (x[None, :] - cloud.points).T  # (M, n)
-    widths = np.abs(proj).sum(axis=1)
-    if np.any(widths == 0.0):
-        return math.inf, np.zeros_like(x)
-    sa = sphere_surface_area(d)
-    value = sa * float(np.mean(widths ** (-float(d))))
-    sign_sums = np.sign(proj).sum(axis=1)
-    weights = -d * widths ** (-float(d) - 1.0) * sign_sums
-    grad = sa * (weights @ directions) / len(directions)
-    return value, grad
+    return _polar_evaluator(cloud.points, directions)(np.reshape(x, -1))[0]
 
 
 def polar_median(
@@ -473,9 +507,15 @@ def polar_median(
 ) -> MedianResult:
     """Maximize the polar-volume surrogate over the query point.
 
-    Nelder-Mead runs from every start (on ``opts.threads`` threads), the best
-    end point wins and reports its own success flag, and a root solve on the
-    gradient polishes it.
+    Screen, then polish.  Every start runs one loose Nelder-Mead round (on
+    ``opts.threads`` threads), stopped at a simplex width of _SCREEN_XATOL
+    times the cloud scale and a value spread of _SCREEN_FATOL (1 + |f|), f
+    the value at the start.
+    The best screened point, ties to the lexicographically smaller one, gets
+    the full-tolerance polish (xatol 0.1 ``opts.tolerance``, up to three
+    rounds), whose success flag is ``converged``; a root solve on the
+    gradient finishes it.  ``iterations`` counts surrogate evaluations
+    across the screen and the polish.
     """
     # The only scipy import of the median solvers; it runs before any thread
     # pool starts, so pool workers never import.
@@ -485,30 +525,35 @@ def polar_median(
     d = cloud.dim
     if _affine_rank(cloud.points) < d:
         raise DegenerateCloudError("cloud does not affinely span R^d")
-    directions = sphere_directions(d, n_directions, seed=opts.seed)
+    evaluate = _polar_evaluator(cloud.points, sphere_directions(d, n_directions, seed=opts.seed))
+    scale = _cloud_scale(cloud.points)
 
     def negative(x):
-        return -polar_surrogate(x, cloud, directions)
+        return -evaluate(x)[0]
+
+    def screen(start):
+        fatol = _SCREEN_FATOL * (1.0 + abs(negative(start)))
+        options = {"xatol": _SCREEN_XATOL * scale, "fatol": fatol, "maxfev": opts.max_iter}
+        res = minimize(negative, start, method="Nelder-Mead", options=options)
+        return res.x, float(res.fun), res.nfev
 
     starts = _start_points(cloud, opts, extra=(cloud.points.mean(axis=0),))
-    results = _map_starts(
-        lambda s: _nelder_mead_polish(minimize, negative, s, opts), starts, opts.threads
+    screened = _map_starts(screen, starts, opts.threads)
+    best_x, best_neg, nfev, converged = _nelder_mead_polish(
+        minimize, negative, _merge_results(screened)[0], opts
     )
-    best_x, best_neg, _, converged = _merge_results(results)
-    iterations = sum(r[2] for r in results)
+    iterations = nfev + sum(r[2] for r in screened)
     # Stationarity polish.  The maximum sits on a top so flat that function
     # values cannot resolve it, so solve grad = 0 directly instead.
-    sol = root(lambda y: _polar_surrogate_with_grad(y, cloud, directions)[1], best_x, method="hybr")
+    sol = root(lambda y: evaluate(y)[1], best_x, method="hybr")
     cand = np.asarray(sol.x, dtype=float)
-    cand_val = polar_surrogate(cand, cloud, directions)
-    scale = _cloud_scale(cloud.points)
     if (
         np.all(np.isfinite(cand))
         and np.linalg.norm(cand - best_x) <= 0.5 * scale
-        and cand_val >= -best_neg - 1e-12 * (1.0 + abs(best_neg))
+        and evaluate(cand)[0] >= -best_neg - 1e-12 * (1.0 + abs(best_neg))
     ):
         best_x = cand
-    value = polar_surrogate(best_x, cloud, directions)
+    value = evaluate(best_x)[0]
     non_unique = _detect_flat(negative, best_x, -value, cloud.points)
     trace = [(best_x.copy(), value)] if opts.keep_trace else None
     return MedianResult(best_x, value, iterations, converged, non_unique, trace)

@@ -383,8 +383,15 @@ class TestDeterminism:
 
 
 class TestThreadCap:
-    def test_env_threads_do_not_change_output(self, tri_csv, tmp_path, monkeypatch):
-        args = ["median", "--objective", "vj", "--j", "2", "--input", tri_csv, "--seed", "5"]
+    # Threads apply to the polar starts only; the vj case checks that the
+    # variable is harmless where it is unused.
+    @pytest.mark.parametrize(
+        "objective",
+        [["--objective", "vj", "--j", "2"], ["--objective", "polar"]],
+        ids=["vj", "polar"],
+    )
+    def test_env_threads_do_not_change_output(self, objective, tri_csv, tmp_path, monkeypatch):
+        args = ["median", *objective, "--input", tri_csv, "--seed", "5"]
         _, serial = run_to_file(args, tmp_path / "serial.json")
         monkeypatch.setenv("ZONOMED_THREADS", "4")
         _, threaded = run_to_file(args, tmp_path / "threaded.json")

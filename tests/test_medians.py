@@ -24,7 +24,15 @@ from zonomed import (
     wills_median,
 )
 from zonomed.directions import sphere_directions
-from zonomed.medians import _cloud_scale, _face_forms, _face_value
+from zonomed.medians import (
+    _cloud_scale,
+    _face_forms,
+    _face_value,
+    _nelder_mead_polish,
+    _polar_evaluator,
+    _start_points,
+    sphere_surface_area,
+)
 from zonomed.zonotope import wills_of_generators
 from conftest import refined_grid_minimum, rotation_matrix, subset_volume_sum
 
@@ -292,6 +300,98 @@ class TestPolarMedian:
     def test_degenerate_cloud(self):
         with pytest.raises(DegenerateCloudError):
             polar_median(PointCloud([[0.0, 0.0], [1.0, 0.0]]))
+
+
+def _polar_reference(x, points, directions):
+    """The surrogate, its a.e. gradient (sign sums) and the size of the
+    gradient's terms, straight from the definition."""
+    n, d = points.shape
+    proj = directions @ (x - points).T
+    widths = np.abs(proj).sum(axis=1)
+    sa = sphere_surface_area(d)
+    value = sa * np.mean(widths ** -float(d))
+    grad = sa * ((-d * widths ** (-d - 1.0) * np.sign(proj).sum(axis=1)) @ directions) / len(proj)
+    return value, grad, sa * np.mean(d * n * widths ** (-d - 1.0))
+
+
+def _polar_case(seed, d, n):
+    """A stretched, far-off-origin Gaussian cloud, a direction set and query
+    points near it."""
+    rng = np.random.default_rng(seed)
+    pts = rng.standard_normal((n, d)) * rng.uniform(0.5, 2.0, d) + rng.uniform(-50.0, 50.0, d)
+    directions = sphere_directions(d, int(rng.integers(1, 300)), seed=seed)
+    xs = pts.mean(axis=0) + 2.0 * rng.standard_normal((4, d))
+    return rng, pts, directions, xs
+
+
+_polar_dims = st.sampled_from([2, 3])
+
+
+class TestPolarEvaluator:
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), d=_polar_dims, n=st.integers(6, 40), ties=st.booleans())
+    def test_value_matches_brute_force(self, seed, d, n, ties):
+        rng, pts, directions, xs = _polar_case(seed, d, n)
+        if ties:  # a quarter grid repeats projections, and x on a sample point ties them
+            pts = np.round(4.0 * pts) / 4.0
+            xs = np.vstack([xs, pts[:2], np.round(4.0 * xs) / 4.0])
+        xs = np.vstack([xs, pts.mean(axis=0) + 20.0 * rng.standard_normal(d)])  # far out: many ranks 0 or n
+        evaluate = _polar_evaluator(pts, directions)
+        for x in xs:
+            expected = _polar_reference(x, pts, directions)[0]
+            assert evaluate(x)[0] == pytest.approx(expected, rel=1e-13, abs=0.0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), d=_polar_dims, n=st.integers(6, 40))
+    def test_gradient_matches_sign_sums(self, seed, d, n):
+        _, pts, directions, xs = _polar_case(seed, d, n)
+        evaluate = _polar_evaluator(pts, directions)
+        for x in xs:
+            _, expected, size = _polar_reference(x, pts, directions)
+            np.testing.assert_allclose(evaluate(x)[1], expected, rtol=0.0, atol=1e-13 * size)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_ranks_exact_next_to_a_sample_point(self, seed):
+        # x sits 4e-12 scale below a sample point: in most directions closer
+        # to it than the rounding of the shifted rows (about 1e-12 scale),
+        # yet every sign of <u, x - x_0> is exact, since the 1024 equal-angle
+        # directions stay pi/1024 rad or more off the x-axis.
+        _, pts, _, _ = _polar_case(seed, 2, 50)
+        directions = sphere_directions(2, 1024)
+        x = pts[0] - [0.0, 4e-12 * _cloud_scale(pts)]
+        _, expected, size = _polar_reference(x, pts, directions)
+        got = _polar_evaluator(pts, directions)(x)[1]
+        np.testing.assert_allclose(got, expected, rtol=0.0, atol=1e-13 * size)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), d=_polar_dims, n=st.integers(6, 40))
+    def test_translation_invariant(self, seed, d, n):
+        rng, pts, directions, xs = _polar_case(seed, d, n)
+        v = 10.0 * rng.standard_normal(d)
+        evaluate = _polar_evaluator(pts, directions)
+        moved = _polar_evaluator(pts + v, directions)
+        for x in xs:
+            # not bitwise: translating rounds each coordinate, by up to 60 eps here
+            assert moved(x + v)[0] == pytest.approx(evaluate(x)[0], rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("seed, n, d", [(31, 50, 2), (32, 50, 2), (33, 30, 3)])
+def test_polar_screen_matches_full_multistart(seed, n, d):
+    """Polishing only the screen's winner loses nothing measurable against
+    polishing every start to full tolerance."""
+    from scipy.optimize import minimize
+
+    rng = np.random.default_rng(seed)  # drawn as perfbench draws its clouds
+    mix = rng.standard_normal((d, d)) / math.sqrt(d) + np.eye(d)
+    cloud = PointCloud(rng.standard_normal((n, d)) @ mix + rng.uniform(-2.0, 2.0, size=d))
+    opts = SolverOptions(seed=seed)
+    r = polar_median(cloud, opts)
+    evaluate = _polar_evaluator(cloud.points, sphere_directions(d, 1024, seed=seed))
+    negative = lambda x: -evaluate(x)[0]
+    starts = _start_points(cloud, opts, extra=(cloud.points.mean(axis=0),))
+    best = -min(_nelder_mead_polish(minimize, negative, s, opts)[1] for s in starts)
+    assert r.converged
+    assert best - r.value <= 1e-8 * best
 
 
 class TestGridOracle:
