@@ -43,9 +43,11 @@ from .zonotope import (
 _PROBE_STEP = 1e-3
 _FLAT_REL = 1e-9
 
-# Polar screen: each start's single Nelder-Mead round stops once its simplex
-# is this share of the cloud scale wide and its values agree to this share
-# of 1 + |f|; only the winner gets the full-tolerance polish.
+# Polar screen: each start's single Nelder-Mead round begins from a simplex
+# _SCREEN_STEP of the cloud scale wide and stops once it is _SCREEN_XATOL of
+# the scale wide and its values agree to _SCREEN_FATOL of 1 + |f|; only the
+# winner gets the full-tolerance polish.
+_SCREEN_STEP = 0.05
 _SCREEN_XATOL = 1e-4
 _SCREEN_FATOL = 1e-8
 
@@ -451,41 +453,23 @@ def _polar_evaluator(points: np.ndarray, directions: np.ndarray):
     Each direction's projections c_i = <u, x_i - m> (m the cloud mean) are
     sorted once, with prefix sums S_k.  At x, t = <u, x - m> has rank k, the
     count of c_i < t, and the width h_u = sum_i |t - c_i| = t(2k - n) + S_n - 2 S_k
-    has gradient (2k - n) u.  The ranks come from one search of all rows laid
-    end to end (row r shifted by 2 r times the projections' span); the
-    rounding of those shifts is undone against the unshifted rows, so every
-    rank is exact.  A zero width makes the value infinite.
+    has gradient (2k - n) u.  A zero width makes the value infinite.
     """
     n, d = points.shape
     center = points.mean(axis=0)
     c = np.sort(directions @ (points - center).T, axis=1)  # (M, n)
     m = len(c)
     rows = np.arange(m)
-    # Row r of the padded tables holds rank k at flat index (n + 2) r + k.
-    first, last, to_padded = (n + 2) * rows, (n + 2) * rows + n, 2 * rows
-    inf = np.full((m, 1), np.inf)
-    below = np.hstack([-inf, c, inf]).ravel()  # c_{k-1} at rank k
-    prefix = np.zeros((m, n + 2))
-    np.cumsum(c, axis=1, out=prefix[:, 1 : n + 1])
-    rest = (prefix[:, n : n + 1] - 2.0 * prefix).ravel()  # S_n - 2 S_k at rank k
-    offsets = 2.0 * float(c.max() - c.min()) * rows
-    shifted = (c + offsets[:, None]).ravel()
+    prefix = np.zeros((m, n + 1))
+    np.cumsum(c, axis=1, out=prefix[:, 1:])
+    rest = prefix[:, n:] - 2.0 * prefix  # S_n - 2 S_k at rank k
     sa = sphere_surface_area(d)
 
     def evaluate(x) -> tuple[float, np.ndarray]:
         t = directions @ (x - center)
-        i = np.searchsorted(shifted, t + offsets) + to_padded
-        np.maximum(i, first, out=i)
-        np.minimum(i, last, out=i)
-        while True:  # step each rank until c_{k-1} < t <= c_k
-            down = below[i] >= t
-            up = below[i + 1] < t
-            if not (down.any() or up.any()):
-                break
-            i += up
-            i -= down
-        slope = 2 * (i - first) - n
-        h = t * slope + rest[i]
+        k = np.count_nonzero(c < t[:, None], axis=1)
+        slope = 2 * k - n
+        h = t * slope + rest[rows, k]
         if not h.min() > 0.0:
             return math.inf, np.zeros(d)
         p = h ** (-float(d))
@@ -496,8 +480,17 @@ def _polar_evaluator(points: np.ndarray, directions: np.ndarray):
 
 def polar_surrogate(x, cloud: PointCloud, directions: np.ndarray) -> float:
     """Deterministic polar objective over a fixed direction set (common random
-    numbers), so derivative-free search sees a stable landscape."""
-    return _polar_evaluator(cloud.points, directions)(np.reshape(x, -1))[0]
+    numbers), so derivative-free search sees a stable landscape.
+
+    Straight from the definition, with no set-up; polar_median builds the
+    sorted evaluator once per solve instead.
+    """
+    x = np.asarray(x, dtype=float).reshape(-1)
+    d = cloud.dim
+    widths = np.abs(directions @ (x[None, :] - cloud.points).T).sum(axis=1)
+    if not widths.min() > 0.0:
+        return math.inf
+    return sphere_surface_area(d) * float(np.mean(widths ** (-float(d))))
 
 
 def polar_median(
@@ -508,9 +501,9 @@ def polar_median(
     """Maximize the polar-volume surrogate over the query point.
 
     Screen, then polish.  Every start runs one loose Nelder-Mead round (on
-    ``opts.threads`` threads), stopped at a simplex width of _SCREEN_XATOL
-    times the cloud scale and a value spread of _SCREEN_FATOL (1 + |f|), f
-    the value at the start.
+    ``opts.threads`` threads) from a simplex _SCREEN_STEP times the cloud
+    scale wide, stopped at a width of _SCREEN_XATOL times the scale and a
+    value spread of _SCREEN_FATOL (1 + |f|), f the value at the start.
     The best screened point, ties to the lexicographically smaller one, gets
     the full-tolerance polish (xatol 0.1 ``opts.tolerance``, up to three
     rounds), whose success flag is ``converged``; a root solve on the
@@ -533,7 +526,15 @@ def polar_median(
 
     def screen(start):
         fatol = _SCREEN_FATOL * (1.0 + abs(negative(start)))
-        options = {"xatol": _SCREEN_XATOL * scale, "fatol": fatol, "maxfev": opts.max_iter}
+        # The first simplex spans a share of the cloud scale, not of |start|,
+        # so a start near the origin of a wide cloud still moves.
+        simplex = np.vstack([start, start + _SCREEN_STEP * scale * np.eye(d)])
+        options = {
+            "xatol": _SCREEN_XATOL * scale,
+            "fatol": fatol,
+            "maxfev": opts.max_iter,
+            "initial_simplex": simplex,
+        }
         res = minimize(negative, start, method="Nelder-Mead", options=options)
         return res.x, float(res.fun), res.nfev
 
@@ -544,13 +545,14 @@ def polar_median(
     )
     iterations = nfev + sum(r[2] for r in screened)
     # Stationarity polish.  The maximum sits on a top so flat that function
-    # values cannot resolve it, so solve grad = 0 directly instead.
+    # values cannot resolve it, so solve grad = 0 directly instead.  Its
+    # answer may lose only a relative 1e-12: the value scales as scale^(-d).
     sol = root(lambda y: evaluate(y)[1], best_x, method="hybr")
     cand = np.asarray(sol.x, dtype=float)
     if (
         np.all(np.isfinite(cand))
         and np.linalg.norm(cand - best_x) <= 0.5 * scale
-        and evaluate(cand)[0] >= -best_neg - 1e-12 * (1.0 + abs(best_neg))
+        and evaluate(cand)[0] >= -best_neg * (1.0 - 1e-12)
     ):
         best_x = cand
     value = evaluate(best_x)[0]

@@ -352,10 +352,9 @@ class TestPolarEvaluator:
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_ranks_exact_next_to_a_sample_point(self, seed):
-        # x sits 4e-12 scale below a sample point: in most directions closer
-        # to it than the rounding of the shifted rows (about 1e-12 scale),
-        # yet every sign of <u, x - x_0> is exact, since the 1024 equal-angle
-        # directions stay pi/1024 rad or more off the x-axis.
+        # x sits 4e-12 scale below a sample point, yet every sign of
+        # <u, x - x_0> is exact, since the 1024 equal-angle directions stay
+        # pi/1024 rad or more off the x-axis: each rank must count x_0 right.
         _, pts, _, _ = _polar_case(seed, 2, 50)
         directions = sphere_directions(2, 1024)
         x = pts[0] - [0.0, 4e-12 * _cloud_scale(pts)]
@@ -375,15 +374,21 @@ class TestPolarEvaluator:
             assert moved(x + v)[0] == pytest.approx(evaluate(x)[0], rel=1e-13, abs=0.0)
 
 
-@pytest.mark.parametrize("seed, n, d", [(31, 50, 2), (32, 50, 2), (33, 30, 3)])
-def test_polar_screen_matches_full_multistart(seed, n, d):
+@pytest.mark.parametrize(
+    "seed, n, d, spread", [(31, 50, 2, 1.0), (32, 50, 2, 1.0), (33, 30, 3, 1.0), (51, 50, 2, 1e3)]
+)
+def test_polar_screen_matches_full_multistart(seed, n, d, spread):
     """Polishing only the screen's winner loses nothing measurable against
-    polishing every start to full tolerance."""
+    polishing every start to full tolerance, also on a wide cloud centred on
+    the origin, where the values are about 1e-9."""
     from scipy.optimize import minimize
 
     rng = np.random.default_rng(seed)  # drawn as perfbench draws its clouds
     mix = rng.standard_normal((d, d)) / math.sqrt(d) + np.eye(d)
-    cloud = PointCloud(rng.standard_normal((n, d)) @ mix + rng.uniform(-2.0, 2.0, size=d))
+    pts = rng.standard_normal((n, d)) @ mix + rng.uniform(-2.0, 2.0, size=d)
+    if spread != 1.0:
+        pts = spread * (pts - pts.mean(axis=0))
+    cloud = PointCloud(pts)
     opts = SolverOptions(seed=seed)
     r = polar_median(cloud, opts)
     evaluate = _polar_evaluator(cloud.points, sphere_directions(d, 1024, seed=seed))
