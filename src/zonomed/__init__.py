@@ -51,7 +51,6 @@ from .medians import (
     grid_oracle,
     polar_median,
     polar_objective,
-    polar_surrogate,
     v1_median,
     vd_median,
     vj_median,

@@ -42,13 +42,6 @@ EXIT_INPUT = 2
 EXIT_NO_CONVERGENCE = 3
 
 
-def _env_threads() -> int:
-    try:
-        return max(1, int(os.environ.get("ZONOMED_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
 def _is_number(field: str) -> bool:
     try:
         float(field)
@@ -126,7 +119,6 @@ def _cmd_median(args) -> int:
         multistarts=args.multistarts,
         seed=args.seed,
         keep_trace=args.emit_trace,
-        threads=_env_threads(),
     )
     result = MedianProblem(cloud, args.objective, j=args.j, options=opts).solve()
     payload = dict(asdict(result), config=_config(args))

@@ -19,7 +19,7 @@ import numpy as np
 
 from .directions import random_direction, sphere_directions
 from .errors import DegeneratePolygonError
-from .gauss import _check_unit, _sorted_eigh
+from .gauss import _check_unit, eigenpair_direction
 from .polygon import (
     ConvexPolygon2D,
     _prune_collinear,
@@ -453,9 +453,7 @@ def conjecture_explorer(
                 u = np.array([1.0])
             else:
                 cov = np.atleast_2d(np.cov(sample.draws, rowvar=False))
-                _, v = _sorted_eigh(cov)
-                u = v[:, 0] + v[:, -1]
-                u /= np.linalg.norm(u)
+                u = eigenpair_direction(cov, 0, d - 1)
         reduction = norm_reduction_check(sample, u, cfg)
         sample = reduction.symmetrized
         anisotropy, mean_norm = _isotropy_numbers(sample.draws)

@@ -102,13 +102,9 @@ def symmetrize_gaussian(state: GaussianState, u) -> GaussianState:
     expectation's intercept).
     """
     u = _check_unit(u)
-    cov = state.cov
-    s = np.linalg.solve(cov, u)
-    quad = float(u @ s)
-    c = -1.0 / quad
-    proj_s = s - quad * u  # P cov^-1 u
-    A = np.eye(state.dim) - c * np.outer(u, proj_s)
-    new_cov = A @ cov @ A.T
+    _, coeff_row = regression_coefficient(state.cov, u)
+    A = np.eye(state.dim) - np.outer(u, coeff_row)
+    new_cov = A @ state.cov @ A.T
     new_cov = 0.5 * (new_cov + new_cov.T)
     new_mean = state.mean - u * float(u @ state.mean)
     return GaussianState(new_mean, new_cov)

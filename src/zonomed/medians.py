@@ -13,15 +13,14 @@ functional 1 + sum_j V_j are convex.  j = 1 is solved by Weiszfeld
 iteration.  Every other V_j and the Wills functional go through one solver:
 the face forms (a_S, w_S, N_S) are computed once, and a damped Newton method
 minimizes the smoothed sum w_S sqrt(r_S^2 + eps^2) while eps shrinks to
-zero.  The polar objective is not convex: a loose Nelder-Mead screen runs
-from several starts and only the winner is polished to full tolerance.
+zero.  The polar objective is not convex: a loose Nelder-Mead round runs
+from each of several starts and one full-tolerance round polishes the winner.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -61,15 +60,13 @@ class SolverOptions:
     """``tolerance`` stops Weiszfeld (j = 1) and the polish of the polar
     screen's winner; the polar screen and the face-form Newton solver have
     their own scale-relative stop rules.  ``max_iter`` caps every solver (for
-    polar, each Nelder-Mead round); ``multistarts`` and ``threads`` apply to
-    polar only."""
+    polar, each Nelder-Mead round); ``multistarts`` applies to polar only."""
 
     tolerance: float = 1e-8
     max_iter: int = 10_000
     multistarts: int = 8
     seed: int = 0
     keep_trace: bool = False
-    threads: int = 1
 
     def __post_init__(self):
         if self.tolerance <= 0.0:
@@ -171,18 +168,6 @@ def _start_points(cloud: PointCloud, opts: SolverOptions, extra=()) -> list[np.n
     while len(starts) < opts.multistarts:
         starts.append(starts[0] + 0.1 * scale * rng.standard_normal(cloud.dim))
     return starts[: opts.multistarts]
-
-
-def _merge_results(candidates):
-    """Smallest value wins; ties go to the lexicographically smaller argmin."""
-    return min(candidates, key=lambda c: (c[1], tuple(c[0])))
-
-
-def _map_starts(fn, starts, threads: int):
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, starts))
-    return [fn(s) for s in starts]
 
 
 def v1_median(cloud: PointCloud, opts: SolverOptions | None = None) -> MedianResult:
@@ -356,33 +341,6 @@ def vd_median(cloud: PointCloud, opts: SolverOptions | None = None) -> MedianRes
     return _face_median(cloud, (cloud.dim,), opts or SolverOptions())
 
 
-def _nelder_mead_polish(minimize, objective, x0: np.ndarray, opts: SolverOptions):
-    """Nelder-Mead (``minimize`` is scipy.optimize.minimize) with up to two
-    restarts from the incumbent."""
-    x, fx = np.asarray(x0, dtype=float), objective(x0)
-    nfev = 0
-    success = False
-    for _ in range(3):
-        res = minimize(
-            objective,
-            x,
-            method="Nelder-Mead",
-            options={
-                "xatol": 0.1 * opts.tolerance,
-                "fatol": 1e-13 * (1.0 + abs(fx)),
-                "maxfev": opts.max_iter,
-            },
-        )
-        nfev += res.nfev
-        improved = res.fun < fx - 1e-13 * (1.0 + abs(fx))
-        if res.fun <= fx:
-            x, fx = res.x, float(res.fun)
-        success = bool(res.success)
-        if not improved:
-            break
-    return x, fx, nfev, success
-
-
 def vj_median(cloud: PointCloud, j: int, opts: SolverOptions | None = None) -> MedianResult:
     """V_j median: the minimizer of V_j(Z(x)) over x.
 
@@ -478,21 +436,6 @@ def _polar_evaluator(points: np.ndarray, directions: np.ndarray):
     return evaluate
 
 
-def polar_surrogate(x, cloud: PointCloud, directions: np.ndarray) -> float:
-    """Deterministic polar objective over a fixed direction set (common random
-    numbers), so derivative-free search sees a stable landscape.
-
-    Straight from the definition, with no set-up; polar_median builds the
-    sorted evaluator once per solve instead.
-    """
-    x = np.asarray(x, dtype=float).reshape(-1)
-    d = cloud.dim
-    widths = np.abs(directions @ (x[None, :] - cloud.points).T).sum(axis=1)
-    if not widths.min() > 0.0:
-        return math.inf
-    return sphere_surface_area(d) * float(np.mean(widths ** (-float(d))))
-
-
 def polar_median(
     cloud: PointCloud,
     opts: SolverOptions | None = None,
@@ -500,18 +443,20 @@ def polar_median(
 ) -> MedianResult:
     """Maximize the polar-volume surrogate over the query point.
 
-    Screen, then polish.  Every start runs one loose Nelder-Mead round (on
-    ``opts.threads`` threads) from a simplex _SCREEN_STEP times the cloud
-    scale wide, stopped at a width of _SCREEN_XATOL times the scale and a
-    value spread of _SCREEN_FATOL (1 + |f|), f the value at the start.
-    The best screened point, ties to the lexicographically smaller one, gets
-    the full-tolerance polish (xatol 0.1 ``opts.tolerance``, up to three
-    rounds), whose success flag is ``converged``; a root solve on the
-    gradient finishes it.  ``iterations`` counts surrogate evaluations
-    across the screen and the polish.
+    Screen, then polish, with one Nelder-Mead routine whose first simplex
+    is a share of the cloud scale wide.  Every start runs one loose round
+    from a simplex _SCREEN_STEP times the scale wide, stopped at a width of
+    _SCREEN_XATOL times the scale and a value spread of _SCREEN_FATOL
+    (1 + |f|), f the value at the start.  The best screened point, ties to
+    the lexicographically smaller one, gets a single full-tolerance round
+    from a simplex 1e-2 times the scale wide, stopped at a width of 0.1
+    ``opts.tolerance`` and a spread of 1e-13 (1 + |f|); its success flag is
+    ``converged``.  A root solve on the gradient finishes it.
+    ``iterations`` counts surrogate evaluations across the screen and the
+    polish.
     """
-    # The only scipy import of the median solvers; it runs before any thread
-    # pool starts, so pool workers never import.
+    # The only scipy import of the median solvers: the other objectives and
+    # the CLI's import run on numpy alone.
     from scipy.optimize import minimize, root
 
     opts = opts or SolverOptions()
@@ -524,26 +469,23 @@ def polar_median(
     def negative(x):
         return -evaluate(x)[0]
 
-    def screen(start):
-        fatol = _SCREEN_FATOL * (1.0 + abs(negative(start)))
+    def nelder_mead(start, step, xatol, fatol):
         # The first simplex spans a share of the cloud scale, not of |start|,
         # so a start near the origin of a wide cloud still moves.
-        simplex = np.vstack([start, start + _SCREEN_STEP * scale * np.eye(d)])
         options = {
-            "xatol": _SCREEN_XATOL * scale,
-            "fatol": fatol,
+            "xatol": xatol,
+            "fatol": fatol * (1.0 + abs(negative(start))),
             "maxfev": opts.max_iter,
-            "initial_simplex": simplex,
+            "initial_simplex": np.vstack([start, start + step * scale * np.eye(d)]),
         }
-        res = minimize(negative, start, method="Nelder-Mead", options=options)
-        return res.x, float(res.fun), res.nfev
+        return minimize(negative, start, method="Nelder-Mead", options=options)
 
     starts = _start_points(cloud, opts, extra=(cloud.points.mean(axis=0),))
-    screened = _map_starts(screen, starts, opts.threads)
-    best_x, best_neg, nfev, converged = _nelder_mead_polish(
-        minimize, negative, _merge_results(screened)[0], opts
-    )
-    iterations = nfev + sum(r[2] for r in screened)
+    screened = [nelder_mead(s, _SCREEN_STEP, _SCREEN_XATOL * scale, _SCREEN_FATOL) for s in starts]
+    winner = min(screened, key=lambda r: (r.fun, tuple(r.x)))
+    polish = nelder_mead(winner.x, 1e-2, 0.1 * opts.tolerance, 1e-13)
+    best_x, best_neg, converged = polish.x, float(polish.fun), bool(polish.success)
+    iterations = polish.nfev + sum(r.nfev for r in screened)
     # Stationarity polish.  The maximum sits on a top so flat that function
     # values cannot resolve it, so solve grad = 0 directly instead.  Its
     # answer may lose only a relative 1e-12: the value scales as scale^(-d).

@@ -349,8 +349,13 @@ class TestOutputSchema:
 
 
 class TestDeterminism:
-    def test_median_byte_identical(self, tri_csv, tmp_path):
-        args = ["median", "--objective", "vj", "--j", "2", "--input", tri_csv, "--seed", "11"]
+    @pytest.mark.parametrize(
+        "objective",
+        [["--objective", "vj", "--j", "2"], ["--objective", "polar"]],
+        ids=["vj", "polar"],
+    )
+    def test_median_byte_identical(self, objective, tri_csv, tmp_path):
+        args = ["median", *objective, "--input", tri_csv, "--seed", "11"]
         _, a = run_to_file(args, tmp_path / "a.json")
         _, b = run_to_file(args, tmp_path / "b.json")
         assert a == b
@@ -380,30 +385,6 @@ class TestDeterminism:
         _, b = run_to_file(["intrinsic", "--input", gens_csv, "--mc", "5000", "--seed", "2"],
                            tmp_path / "b.json")
         assert a != b
-
-
-class TestThreadCap:
-    # Threads apply to the polar starts only; the vj case checks that the
-    # variable is harmless where it is unused.
-    @pytest.mark.parametrize(
-        "objective",
-        [["--objective", "vj", "--j", "2"], ["--objective", "polar"]],
-        ids=["vj", "polar"],
-    )
-    def test_env_threads_do_not_change_output(self, objective, tri_csv, tmp_path, monkeypatch):
-        args = ["median", *objective, "--input", tri_csv, "--seed", "5"]
-        _, serial = run_to_file(args, tmp_path / "serial.json")
-        monkeypatch.setenv("ZONOMED_THREADS", "4")
-        _, threaded = run_to_file(args, tmp_path / "threaded.json")
-        assert serial == threaded
-
-    def test_bad_env_value_ignored(self, tri_csv, tmp_path, monkeypatch):
-        monkeypatch.setenv("ZONOMED_THREADS", "many")
-        code, _ = run_to_file(
-            ["median", "--objective", "vj", "--j", "1", "--input", tri_csv, "--seed", "5"],
-            tmp_path / "out.json",
-        )
-        assert code == 0
 
 
 class TestInputHandling:
