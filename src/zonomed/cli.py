@@ -225,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_med.add_argument("--input", required=True, help="CSV of sample points, one per row")
     p_med.add_argument("--objective", choices=["vj", "wills", "polar"], default="vj")
     p_med.add_argument("--j", type=int, default=None, help="intrinsic-volume order for vj")
-    p_med.add_argument("--tolerance", type=float, default=1e-8)
+    p_med.add_argument("--tolerance", type=float, default=1e-8, help="polar polish only")
     p_med.add_argument("--max-iter", type=int, default=10_000)
     p_med.add_argument(
         "--multistarts", type=int, default=8,

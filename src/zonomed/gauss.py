@@ -34,6 +34,8 @@ class GaussianState:
         d = mean.size
         if cov.shape != (d, d):
             raise ValueError(f"covariance shape {cov.shape} does not match mean ({d})")
+        if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(cov))):
+            raise ValueError("mean and covariance must be finite")
         scale = max(1.0, float(np.abs(cov).max()))
         if np.abs(cov - cov.T).max() > _SYM_TOL * scale:
             raise ValueError("covariance is not symmetric")
@@ -73,7 +75,7 @@ class SymmetrizationTrace:
 
 def _check_unit(u) -> np.ndarray:
     u = np.asarray(u, dtype=float).reshape(-1)
-    if abs(np.linalg.norm(u) - 1.0) > _UNIT_TOL:
+    if not abs(np.linalg.norm(u) - 1.0) <= _UNIT_TOL:
         raise ValueError("direction must be a unit vector")
     return u
 
@@ -141,7 +143,7 @@ def double_mean_update(lam1: float, lam2: float) -> tuple[float, float]:
 
     The product is invariant, so iterating converges to the geometric mean.
     """
-    if lam1 <= 0.0 or lam2 <= 0.0:
+    if not (lam1 > 0.0 and lam2 > 0.0):
         raise ValueError("eigenvalues must be positive")
     return 0.5 * (lam1 + lam2), 2.0 * lam1 * lam2 / (lam1 + lam2)
 
@@ -169,7 +171,7 @@ def sphere_iterate(
     pair until max/min eigenvalue ratio - 1 < tol.  Eigen steps conserve
     det cov, so the limit is (det cov)^(1/d) times the identity.
     """
-    if tol <= 0.0:
+    if not tol > 0.0:
         raise ValueError("tolerance must be positive")
     trace = SymmetrizationTrace()
     mean_norm = float(np.linalg.norm(state.mean))

@@ -9,9 +9,9 @@ the Wills functional of Z(x), and the polar-body volume (to be maximized).
 V_j(Z(x)) sums vol_j(x - x_i : i in S) over the j-subsets S, and each term
 is a face volume times a distance: vol_{j-1}(edges of S) * dist(x, aff S).
 A distance to a flat is convex in x, so every V_j objective and the Wills
-functional 1 + sum_j V_j are convex.  j = 1 is solved by Weiszfeld
-iteration.  Every other V_j and the Wills functional go through one solver:
-the face forms (a_S, w_S, N_S) are computed once, and a damped Newton method
+functional 1 + sum_j V_j are convex.  Every V_j, j = 1 included, and the
+Wills functional go through one solver: the face forms (a_S, w_S, N_S) are
+computed once (for j = 1 just a_S = x_i, w_S = 1), and a damped Newton method
 minimizes the smoothed sum w_S sqrt(r_S^2 + eps^2) while eps shrinks to
 zero.  The polar objective is not convex: a loose Nelder-Mead round runs
 from each of several starts and one full-tolerance round polishes the winner.
@@ -57,10 +57,11 @@ _FACE_CACHE_BYTES = 1 << 29
 
 @dataclass
 class SolverOptions:
-    """``tolerance`` stops Weiszfeld (j = 1) and the polish of the polar
-    screen's winner; the polar screen and the face-form Newton solver have
-    their own scale-relative stop rules.  ``max_iter`` caps every solver (for
-    polar, each Nelder-Mead round); ``multistarts`` applies to polar only."""
+    """``tolerance`` stops the polish of the polar screen's winner only; the
+    polar screen and the face-form Newton solver of every V_j (j = 1
+    included) and Wills median have their own scale-relative stop rules.
+    ``max_iter`` caps every solver (for polar, each Nelder-Mead round);
+    ``multistarts`` applies to polar only."""
 
     tolerance: float = 1e-8
     max_iter: int = 10_000
@@ -69,7 +70,7 @@ class SolverOptions:
     keep_trace: bool = False
 
     def __post_init__(self):
-        if self.tolerance <= 0.0:
+        if not self.tolerance > 0.0:
             raise ValueError("tolerance must be positive")
         if self.max_iter < 1 or self.multistarts < 1:
             raise ValueError("max_iter and multistarts must be at least 1")
@@ -171,79 +172,23 @@ def _start_points(cloud: PointCloud, opts: SolverOptions, extra=()) -> list[np.n
 
 
 def v1_median(cloud: PointCloud, opts: SolverOptions | None = None) -> MedianResult:
-    """L1 (geometric) median by Weiszfeld iteration.
-
-    Uses the standard fix for iterates that land on sample points: the
-    subgradient test ||sum (x_i - x)/||x_i - x|||| <= multiplicity decides
-    optimality there, and otherwise the iterate steps off along the blended
-    descent direction.  Stops when the step norm drops below the tolerance.
-    """
-    opts = opts or SolverOptions()
-    pts = cloud.points
-    x = np.median(pts, axis=0)
-    scale = _cloud_scale(pts)
-    touch_tol = 1e-13 * scale
-
-    def objective(y):
-        return float(np.sqrt(((y[None, :] - pts) ** 2).sum(axis=1)).sum())
-
-    trace: list[tuple[np.ndarray, float]] | None = [] if opts.keep_trace else None
-    converged = False
-    iterations = 0
-    prev_step = None
-    for _ in range(opts.max_iter):
-        diff = pts - x[None, :]
-        dist = np.sqrt((diff**2).sum(axis=1))
-        on = dist <= touch_tol
-        eta = int(np.count_nonzero(on))
-        away = ~on
-        if eta == cloud.n:
-            converged = True  # every sample point coincides with x
-            break
-        grad_residual = (diff[away] / dist[away, None]).sum(axis=0)
-        r = float(np.linalg.norm(grad_residual))
-        if eta > 0 and r <= eta:
-            converged = True  # optimal at a sample point
-            break
-        if eta == 0 and r == 0.0:
-            converged = True  # smooth stationary point
-            break
-        w = 1.0 / dist[away]
-        weiszfeld = (pts[away] * w[:, None]).sum(axis=0) / w.sum()
-        if eta > 0:
-            blend = min(1.0, eta / r)
-            x_new = (1.0 - blend) * weiszfeld + blend * x
-        else:
-            x_new = weiszfeld
-        step = float(np.linalg.norm(x_new - x))
-        x = x_new
-        iterations += 1
-        if trace is not None:
-            trace.append((x.copy(), objective(x)))
-        if step < opts.tolerance:
-            # linear convergence: distance to the fixed point is about
-            # step * rho / (1 - rho), so keep going until that is small too
-            rho = min(step / prev_step, 0.999) if prev_step else 0.5
-            if step * rho / (1.0 - rho) < opts.tolerance:
-                converged = True
-                break
-        prev_step = step
-    value = vj_objective(x, cloud, 1)
-    non_unique = _detect_flat(objective, x, value, pts)
-    return MedianResult(x, value, iterations, converged, non_unique, trace)
+    """L1 (geometric) median: the face-form solve of V_1, whose terms are ||x - x_i||."""
+    return _face_median(cloud, (1,), opts or SolverOptions())
 
 
-def _face_forms(points: np.ndarray, orders) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+def _face_forms(points: np.ndarray, orders) -> list[tuple[np.ndarray, np.ndarray, np.ndarray | None]]:
     """Every j-subset S of the sample, for each j in ``orders``, as a face form.
 
     vol_j(x - x_i : i in S) = w_S ||N_S'(x - a_S)||: a_S is the subset's first
     point, and one batched complete QR of the edges x_i - a_S gives their
     (j-1)-volume w_S = prod |diag R| and an orthonormal basis N_S of the
-    complement of their span.  j = 1 terms are ||x - x_i||.  Returns one
-    (a, w, N) group per order, without affinely dependent subsets (w_S = 0).
+    complement of their span.  j = 1 terms are ||x - x_i||, stored with
+    N = None (the basis would be the identity), so the size guard counts
+    only the orders j >= 2.  Returns one (a, w, N) group per order, without
+    affinely dependent subsets (w_S = 0).
     """
     n, d = points.shape
-    need = sum(math.comb(n, j) * 8 * (j + 1 + d * (2 * d + j)) for j in orders)
+    need = sum(math.comb(n, j) * 8 * (j + 1 + d * (2 * d + j)) for j in orders if j >= 2)
     if need > _FACE_CACHE_BYTES:
         counts = ", ".join(f"C({n},{j}) = {math.comb(n, j)}" for j in orders)
         raise ZonomedError(
@@ -252,7 +197,7 @@ def _face_forms(points: np.ndarray, orders) -> list[tuple[np.ndarray, np.ndarray
     groups = []
     for j in orders:
         if j == 1:
-            groups.append((points, np.ones(n), np.broadcast_to(np.eye(d), (n, d, d))))
+            groups.append((points, np.ones(n), None))
             continue
         flat = itertools.chain.from_iterable(itertools.combinations(range(n), j))
         idx = np.fromiter(flat, dtype=np.intp, count=math.comb(n, j) * j).reshape(-1, j)
@@ -267,20 +212,25 @@ def _face_forms(points: np.ndarray, orders) -> list[tuple[np.ndarray, np.ndarray
 
 
 def _face_value(groups, x: np.ndarray, eps: float = 0.0, derivatives: bool = False):
-    """sum_S w_S sqrt(r_S^2 + eps^2) with r_S = ||N_S'(x - a_S)||; with
-    ``derivatives``, the tuple (value, gradient, Hessian)."""
+    """sum_S w_S sqrt(r_S^2 + eps^2) with r_S = ||N_S'(x - a_S)||, and
+    r_S = ||x - a_S|| where N_S is None; with ``derivatives``, the tuple
+    (value, gradient, Hessian)."""
     d = x.size
     value, grad, hess = 0.0, np.zeros(d), np.zeros((d, d))
     for a, w, N in groups:
-        y = np.einsum("sdk,sd->sk", N, x - a)
+        u = x - a
+        y = u if N is None else np.einsum("sdk,sd->sk", N, u)
         s = np.sqrt(np.einsum("sk,sk->s", y, y) + eps * eps)
         value += float(w @ s)
         if derivatives:
-            u = np.einsum("sdk,sk->sd", N, y)  # x - a_S projected off the flat
             c = w / s
+            if N is None:
+                hess += c.sum() * np.eye(d)
+            else:
+                u = np.einsum("sdk,sk->sd", N, y)  # x - a_S projected off the flat
+                hess += np.einsum("s,sdk,sek->de", c, N, N)
             grad += c @ u
-            hess += np.einsum("s,sdk,sek->de", c, N, N)
-            hess -= np.einsum("s,sd,se->de", c / (s * s), u, u)
+            hess -= (u * (c / (s * s))[:, None]).T @ u
     return (value, grad, hess) if derivatives else value
 
 
@@ -290,9 +240,11 @@ def _face_median(cloud: PointCloud, orders, opts: SolverOptions, constant: float
     Damped Newton (Armijo backtracking) on sum_S w_S sqrt(r_S^2 + eps^2),
     starting at the coordinatewise median, with eps lowered tenfold per
     stage from 1e-2 to 1e-13 times the cloud scale.  A stage ends when a
-    step is shorter than max(1e-3 eps, 1e-14 scale).  ``opts.max_iter`` caps
-    the Newton steps over all stages, and the result is converged only when
-    the last stage ended within that cap.
+    step is shorter than max(1e-3 eps, 1e-14 scale) or leaves the smoothed
+    value unchanged: the floor can fall below the rounding unit of |x| far
+    from the origin, and along a flat valley no step lowers the value.
+    ``opts.max_iter`` caps the Newton steps over all stages, and the result
+    is converged only when the last stage ended within that cap.
     """
     pts = cloud.points
     groups = _face_forms(pts, orders)
@@ -311,13 +263,16 @@ def _face_median(cloud: PointCloud, orders, opts: SolverOptions, constant: float
             slope = float(g @ p)
             if not slope < 0.0:
                 p, slope = -g, -float(g @ g)
-            t, length = 1.0, float(np.linalg.norm(p))
+            t, length, f_new = 1.0, float(np.linalg.norm(p)), f
             while t * length >= floor:
-                if _face_value(groups, x + t * p, eps) <= f + 1e-4 * t * slope:
+                f_new = _face_value(groups, x + t * p, eps)
+                if f_new <= f + 1e-4 * t * slope:
                     x = x + t * p
                     break
                 t *= 0.5
-            stage_done = t * length < floor
+            # A step may pass the test yet leave the value where it was:
+            # below the rounding unit of |x| it does not move x at all.
+            stage_done = t * length < floor or not f_new < f
             path.append(x)
 
     def objective(y):
@@ -344,12 +299,11 @@ def vd_median(cloud: PointCloud, opts: SolverOptions | None = None) -> MedianRes
 def vj_median(cloud: PointCloud, j: int, opts: SolverOptions | None = None) -> MedianResult:
     """V_j median: the minimizer of V_j(Z(x)) over x.
 
-    j = 1 is the L1 median (v1_median, Weiszfeld).  For 2 <= j <= d each
-    j-subset S contributes vol_{j-1}(edges of S) * dist(x, aff S), a volume
-    times the distance to a flat, so the objective is convex and one
-    face-form Newton solve from the coordinatewise median finds its minimum.
+    Each j-subset S contributes vol_{j-1}(edges of S) * dist(x, aff S), a
+    volume times the distance to a flat (for j = 1, the L1 median, just
+    ||x - x_i||), so the objective is convex and one face-form Newton solve
+    from the coordinatewise median finds its minimum for every j.
     """
-    opts = opts or SolverOptions()
     d = cloud.dim
     if not 1 <= j <= d:
         raise ValueError(f"need 1 <= j <= d, got j={j}, d={d}")
@@ -357,9 +311,7 @@ def vj_median(cloud: PointCloud, j: int, opts: SolverOptions | None = None) -> M
         raise DegenerateCloudError(
             f"cloud lies in a flat of dimension < {j}; V_{j} objective is degenerate"
         )
-    if j == 1:
-        return v1_median(cloud, opts)
-    return _face_median(cloud, (j,), opts)
+    return _face_median(cloud, (j,), opts or SolverOptions())
 
 
 def wills_median(cloud: PointCloud, opts: SolverOptions | None = None) -> MedianResult:
@@ -395,13 +347,7 @@ def polar_objective(x, cloud: PointCloud, sphere_samples: int, seed: int) -> Mon
     u /= np.linalg.norm(u, axis=1, keepdims=True)
     support_sums = np.abs(u @ G.T).sum(axis=1)
     vals = sphere_surface_area(d) * support_sums ** (-float(d))
-    mean = float(np.mean(vals))
-    se = (
-        float(np.std(vals, ddof=1) / math.sqrt(sphere_samples))
-        if sphere_samples > 1
-        else 0.0
-    )
-    return MonteCarloEstimate(mean, se, sphere_samples)
+    return MonteCarloEstimate.from_samples(vals)
 
 
 def _polar_evaluator(points: np.ndarray, directions: np.ndarray):

@@ -180,9 +180,7 @@ def wills_mc_check(zonotope: Zonotope, samples: int, seed: int) -> MonteCarloEst
     rng = np.random.default_rng(seed)
     pts = lo + rng.random((samples, 2)) * (hi - lo)
     vals = np.exp(-math.pi * distances_to_polygon(pts, poly) ** 2)
-    mean = float(np.mean(vals))
-    se = float(np.std(vals, ddof=1) / math.sqrt(samples)) if samples > 1 else 0.0
-    return MonteCarloEstimate(box_area * mean, box_area * se, samples)
+    return MonteCarloEstimate.from_samples(vals, box_area)
 
 
 def steiner_polynomial_check_2d(zonotope: Zonotope, lam: float) -> tuple[float, float]:
@@ -191,7 +189,7 @@ def steiner_polynomial_check_2d(zonotope: Zonotope, lam: float) -> tuple[float, 
     lhs grows the polygon geometrically: area + perimeter*lam + pi*lam^2.
     rhs is the intrinsic-volume polynomial V_2 + 2 V_1 lam + pi lam^2.
     """
-    if lam < 0.0:
+    if not lam >= 0.0:
         raise ValueError("inflation radius must be nonnegative")
     poly = zonotope_polygon_2d(zonotope)
     lhs = poly.area + poly.perimeter * lam + math.pi * lam * lam

@@ -118,6 +118,14 @@ class MonteCarloEstimate:
     std_error: float
     samples: int = field(default=0, compare=False)
 
+    @classmethod
+    def from_samples(cls, vals: np.ndarray, scale: float = 1.0) -> MonteCarloEstimate:
+        """scale times the mean of ``vals``, with scale times its standard error."""
+        samples = len(vals)
+        mean = float(np.mean(vals))
+        se = float(np.std(vals, ddof=1) / math.sqrt(samples)) if samples > 1 else 0.0
+        return cls(scale * mean, scale * se, samples)
+
 
 def unit_ball_volume(j: int) -> float:
     """vol_j(B_j) = pi^(j/2) / Gamma(j/2 + 1); 1, 2, pi, 4pi/3, ... for j = 0, 1, 2, 3.
@@ -321,9 +329,7 @@ def mc_intrinsic_volume(
         H = G @ np.swapaxes(M, 1, 2)  # (b, m, j): row i is M g_i
         for terms in _volume_terms(H, j):
             vals[start : start + len(M)] += terms.sum(axis=0)
-    mean = float(np.mean(vals))
-    se = float(np.std(vals, ddof=1) / math.sqrt(samples)) if samples > 1 else 0.0
-    return MonteCarloEstimate(scale * mean, scale * se, samples)
+    return MonteCarloEstimate.from_samples(vals, scale)
 
 
 def wills_functional(zonotope: Zonotope) -> float:

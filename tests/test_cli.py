@@ -165,6 +165,10 @@ class TestGaussCommand:
         eigs = np.linalg.eigvalsh(np.asarray(payload["cov"]))
         np.testing.assert_allclose(eigs, [1.6, 2.5], rtol=1e-10)
 
+    def test_nan_direction_exit_2(self, gauss_json, capsys):
+        assert main(["gauss", "--input", gauss_json, "--u", "nan,1"]) == 2
+        assert "direction must be a unit vector" in capsys.readouterr().err
+
     def test_non_symmetric_cov_exit_2(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"mean": [0, 0], "cov": [[1, 0.5], [0.1, 1]]}))

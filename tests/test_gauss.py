@@ -36,6 +36,14 @@ class TestGaussianState:
         with pytest.raises(ValueError):
             GaussianState([0.0, 0.0, 0.0], np.eye(2))
 
+    def test_rejects_nan_mean(self):
+        with pytest.raises(ValueError, match="finite"):
+            GaussianState([math.nan, 0.0], np.eye(2))
+
+    def test_rejects_infinite_cov(self):
+        with pytest.raises(ValueError, match="finite"):
+            GaussianState([0.0, 0.0], [[math.inf, 0.0], [0.0, 1.0]])
+
 
 class TestRegressionCoefficient:
     def test_isotropic(self):
@@ -82,6 +90,12 @@ class TestRegressionCoefficient:
 
 
 class TestSymmetrizeGaussian:
+    def test_rejects_nan_direction(self):
+        # every comparison with nan is false, so the unit check must fail on it
+        state = GaussianState([0.0, 0.0], np.eye(2))
+        with pytest.raises(ValueError, match="unit vector"):
+            symmetrize_gaussian(state, [math.nan, 0.0])
+
     def test_eigenvector_direction_is_identity(self):
         rng = np.random.default_rng(4)
         cov, _ = random_spd(rng, 3)
@@ -199,6 +213,8 @@ class TestDoubleMean:
             double_mean_update(0.0, 1.0)
         with pytest.raises(ValueError):
             double_mean_update(1.0, -2.0)
+        with pytest.raises(ValueError):
+            double_mean_update(math.nan, 1.0)
 
 
 class TestPairLaw:
@@ -269,3 +285,5 @@ class TestSphereIterate:
     def test_rejects_bad_tol(self):
         with pytest.raises(ValueError):
             sphere_iterate(GaussianState([0.0], [[1.0]]), tol=0.0)
+        with pytest.raises(ValueError):
+            sphere_iterate(GaussianState([0.0], [[1.0]]), tol=math.nan)

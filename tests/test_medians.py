@@ -484,6 +484,11 @@ class TestEquivariance:
         assert np.linalg.norm(moved.argmin - (R @ base.argmin + t)) <= 10 * opts.tolerance
 
 
+def test_solver_options_reject_nan_tolerance():
+    with pytest.raises(ValueError, match="tolerance"):
+        SolverOptions(tolerance=math.nan)
+
+
 class TestMedianProblem:
     def test_dispatch(self):
         rng = np.random.default_rng(16)
@@ -517,6 +522,8 @@ def _objective(cloud, order):
 def _solve(cloud, order):
     if order == "wills":
         return wills_median(cloud)
+    if order == 1:
+        return v1_median(cloud)
     return vj_median(cloud, order)
 
 
@@ -666,3 +673,91 @@ def test_rigid_motion_equivariance(seed, case, n):
     if order != d:  # an Oja minimum can be a whole edge or cell, not a point
         scale = _cloud_scale(pts)
         assert np.linalg.norm(moved.argmin - (R @ base.argmin + t)) <= 1e-7 * scale
+
+
+def test_l1_face_forms_hold_no_normal_bases():
+    # j = 1 terms are ||x - x_i||: no basis is built, so nothing beyond the
+    # sample is charged against the size guard (a 32 MB sample here).
+    ((a, w, N),) = _face_forms(np.zeros((400_000, 10)), (1,))
+    assert N is None and a.shape == (400_000, 10) and len(w) == 400_000
+
+
+@pytest.mark.parametrize(
+    "order, points",
+    [
+        (2, np.random.default_rng(1).standard_normal((12, 2)) + 1000.0),
+        (2, np.random.default_rng(2).standard_normal((10, 3)) + 1000.0),
+        ("wills", (np.random.default_rng(2).standard_normal((10, 3)) + 1000.0)[:8]),
+    ],
+)
+def test_stage_ends_when_a_step_leaves_the_value_unchanged(order, points):
+    # Far from the origin the stage floor max(1e-3 eps, 1e-14 scale) falls
+    # below the rounding unit of |x|: accepted steps left x where it was
+    # until all 10 000 Newton steps were spent and converged was false.
+    r = _solve(PointCloud(points), order)
+    assert r.converged and r.iterations < 200
+
+
+@pytest.mark.parametrize("shift", [1e3, 1e6])
+@pytest.mark.parametrize("order", [1, 2, 3, "wills"])
+def test_translation_far_from_origin(order, shift):
+    """Moving a cloud far from the origin keeps every solve converging with
+    the same value.  Translating rounds each coordinate by up to
+    ulp(shift) / 2, hence bounds that grow with the shift; the argmin is
+    compared only where the minimum is flagged unique."""
+    for seed in range(4):
+        rng = np.random.default_rng([seed, 11])
+        pts = _mixed_cloud(rng, 8, 3)
+        v = shift * rng.standard_normal(3) / math.sqrt(3.0)
+        base = _solve(PointCloud(pts), order)
+        moved = _solve(PointCloud(pts + v), order)
+        assert base.converged and moved.converged
+        assert moved.value == pytest.approx(base.value, rel=1e-15 * shift)
+        if not (base.non_unique or moved.non_unique):
+            gap = np.linalg.norm(moved.argmin - v - base.argmin)
+            assert gap <= 1e-9 * _cloud_scale(pts)
+
+
+def _l1_cloud(seed, d, n, kind):
+    """Gaussian points; with ``kind`` "majority" more than half of them on one
+    point, "collinear" an even count on a line, "ties" rounded to a half grid."""
+    rng = np.random.default_rng(seed)
+    pts = rng.standard_normal((n, d))
+    if kind == "majority":
+        pts[: n // 2 + 1] = pts[0]
+    elif kind == "collinear":
+        pts = np.outer(rng.standard_normal(2 * (n // 2)), rng.standard_normal(d))
+    elif kind == "ties":
+        pts = np.round(2.0 * pts) / 2.0
+    return pts
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    d=st.integers(1, 3),
+    n=st.integers(2, 12),
+    kind=st.sampled_from(["gaussian", "majority", "collinear", "ties"]),
+)
+def test_l1_optimality_certificate(seed, d, n, kind):
+    """x minimizes sum ||x - x_i|| exactly when the unit vectors from the
+    other points sum to at most the multiplicity of x in the sample.
+
+    Points within tau of x count as x itself.  Where the unit vectors of the
+    others sum to exactly the multiplicity (a half-grid cloud can do that),
+    the objective rises only quadratically off the sample point, and values
+    place x no closer than about 3e-9 to it; moving x by tau turns each
+    other unit vector by at most tau / dist, hence the slack."""
+    pts = _l1_cloud(seed, d, n, kind)
+    r = v1_median(PointCloud(pts))
+    assert r.converged
+    scale = _cloud_scale(pts)
+    tau = 1e-8 * scale
+    diff = r.argmin - pts
+    dist = np.linalg.norm(diff, axis=1)
+    on = dist <= tau
+    pull = (diff[~on] / dist[~on, None]).sum(axis=0)
+    slack = tau * float(np.sum(1.0 / dist[~on])) + 1e-9
+    assert np.linalg.norm(pull) <= np.count_nonzero(on) + slack
+    if kind == "majority":
+        assert np.linalg.norm(r.argmin - pts[0]) <= 1e-12 * max(np.linalg.norm(pts[0]), scale)

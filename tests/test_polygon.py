@@ -172,6 +172,8 @@ class TestSteinerPolynomial:
     def test_negative_lambda_rejected(self):
         with pytest.raises(ValueError):
             steiner_polynomial_check_2d(Zonotope([[1.0, 0.0], [0.0, 1.0]]), -0.1)
+        with pytest.raises(ValueError):
+            steiner_polynomial_check_2d(Zonotope([[1.0, 0.0], [0.0, 1.0]]), float("nan"))
 
 
 class TestClipHelpers:

@@ -16,7 +16,7 @@ from zonomed import (
     unit_ball_volume,
     wills_functional,
 )
-from zonomed.zonotope import intrinsic_volume_of_generators
+from zonomed.zonotope import MonteCarloEstimate, intrinsic_volume_of_generators
 from conftest import random_zonotope, rotation_matrix, subset_volume_sum
 
 
@@ -179,6 +179,14 @@ class TestMonteCarlo:
             mc_intrinsic_volume(z, 3, 100, seed=0)
         with pytest.raises(ValueError):
             mc_intrinsic_volume(z, 1, 0, seed=0)
+
+    def test_estimate_from_samples(self):
+        est = MonteCarloEstimate.from_samples(np.array([1.0, 2.0, 4.0, 5.0]), 3.0)
+        assert est.estimate == 3.0 * 3.0
+        assert est.std_error == 3.0 * float(np.std([1.0, 2.0, 4.0, 5.0], ddof=1) / 2.0)
+        assert est.samples == 4
+        one = MonteCarloEstimate.from_samples(np.array([7.0]))
+        assert (one.estimate, one.std_error, one.samples) == (7.0, 0.0, 1)
 
 
 class TestWills:
