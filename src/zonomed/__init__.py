@@ -19,7 +19,6 @@ from .empirical import (
     NormReduction,
     RegressorConfig,
     Theorem1Report,
-    complement_basis,
     conjecture_explorer,
     norm_reduction_check,
     polygon_steiner_symmetral_2d,
@@ -38,6 +37,7 @@ from .gauss import (
     GaussianState,
     SymmetrizationStep,
     SymmetrizationTrace,
+    complement_basis,
     double_mean_update,
     eigenpair_direction,
     regression_coefficient,

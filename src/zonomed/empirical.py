@@ -3,7 +3,9 @@
 The measure-level symmetrization X -> X - u E[u'X | P X] is applied to a
 finite sample by estimating the conditional expectation of the u-coordinate
 given the coordinates in the hyperplane u-perp, either by k-nearest-neighbor
-averaging or by ordinary least squares (exact for Gaussian laws).  The
+averaging or by the Gaussian step's linear regression fitted to the sample
+(`gauss._complement_regression` on the centred draws, exact for Gaussian
+laws).  The
 classical chord-shifting symmetral of a convex polygon is computed exactly
 for cross-validation, and an explorer applies repeated random-direction
 steps while reporting isotropy diagnostics.
@@ -19,7 +21,7 @@ import numpy as np
 
 from .directions import random_direction, sphere_directions
 from .errors import DegeneratePolygonError
-from .gauss import _check_unit, eigenpair_direction
+from .gauss import _check_unit, _complement_regression, complement_basis, eigenpair_direction
 from .polygon import (
     ConvexPolygon2D,
     _prune_collinear,
@@ -68,7 +70,8 @@ class EmpiricalSample:
 
 @dataclass
 class RegressorConfig:
-    """How to estimate E[u'X | P X]: 'knn' averaging or 'exact_linear' OLS."""
+    """How to estimate E[u'X | P X]: 'knn' averaging, or 'exact_linear', the
+    Gaussian step's linear regression on the sample's mean and covariance."""
 
     method: str = "knn"
     k: int | None = None
@@ -123,39 +126,19 @@ class NormReduction:
     symmetrized: EmpiricalSample = field(repr=False, compare=False)
 
 
-def complement_basis(u: np.ndarray) -> np.ndarray:
-    """Deterministic orthonormal basis of u-perp, rows of a (d-1, d) array.
-
-    Gram-Schmidt over the standard basis with the axis of largest |u|
-    dropped; fixed convention so repeated runs agree bit for bit.
-    """
-    u = _check_unit(u)
-    d = u.size
-    drop = int(np.argmax(np.abs(u)))
-    basis = [u]
-    for i in range(d):
-        if i == drop:
-            continue
-        v = np.zeros(d)
-        v[i] = 1.0
-        for w in basis:
-            v -= (v @ w) * w
-        norm = np.linalg.norm(v)
-        v /= norm
-        basis.append(v)
-    return np.asarray(basis[1:])
-
-
 def _conditional_mean(sample: EmpiricalSample, u: np.ndarray, cfg: RegressorConfig) -> np.ndarray:
     """Estimate m(p) = E[u'X | P X = p] at every draw.
 
-    'exact_linear' fits OLS on the projected coordinates p = P X.  'knn'
-    averages u'X over the k nearest draws in p, the draw itself included.
-    When p is one coordinate (d = 2) those neighbours are a window of the
-    sorted projections, found exactly in O(N log N) by `_window_means`;
-    otherwise a kd-tree is queried in blocks of about `_QUERY_NEIGHBOURS`
-    neighbours, so no N x k array is built.  A sample in R^1, or one whose
-    projections all coincide, gets the global mean.
+    'exact_linear' is the Gaussian step's regression (`_complement_regression`)
+    on the centred draws: the OLS fit of u'X on the coordinates of P X, the
+    minimum-norm one when those are rank-deficient.  'knn' averages u'X
+    over the k nearest draws in p = B X, B = complement_basis(u), the draw
+    itself included.  When p is one coordinate (d = 2) those neighbours are
+    a window of the sorted projections, found exactly in O(N log N) by
+    `_window_means`; otherwise a kd-tree is queried in blocks of about
+    `_QUERY_NEIGHBOURS` neighbours, so no N x k array is built.  A sample in
+    R^1, or one whose projections all agree to within the roundoff of
+    computing them, 16 d eps max|X|, gets the global mean.
     """
     if u.size != sample.dim:
         raise ValueError(f"direction has dimension {u.size}, sample has {sample.dim}")
@@ -164,15 +147,15 @@ def _conditional_mean(sample: EmpiricalSample, u: np.ndarray, cfg: RegressorConf
     y = sample.draws @ u
     if sample.dim == 1:
         return np.full(sample.n, y.mean())
-    basis = complement_basis(u)
-    p = sample.draws @ basis.T
-    if np.ptp(p, axis=0).max() == 0.0:
+    p = sample.draws @ complement_basis(u).T
+    roundoff = 16.0 * sample.dim * np.finfo(float).eps * np.abs(sample.draws).max()
+    if np.ptp(p, axis=0).max() <= roundoff:
         # degenerate projected coordinates: the conditional mean is global
         return np.full(sample.n, y.mean())
     if cfg.method == "exact_linear":
-        p_centered = p - p.mean(axis=0)
-        slope, *_ = np.linalg.lstsq(p_centered, y - y.mean(), rcond=None)
-        return y.mean() + p_centered @ slope
+        centred = sample.draws - sample.draws.mean(axis=0)
+        _, coeff_row = _complement_regression(centred, u)
+        return y.mean() + centred @ coeff_row
     if p.shape[1] == 1:
         return _window_means(p[:, 0], y, k)
     # through the module, so the first use imports it and a replaced class is used
@@ -217,11 +200,6 @@ def _window_starts(s: np.ndarray, k: int) -> np.ndarray:
     return np.clip(start, np.maximum(i - k + 1, 0), np.minimum(i, n - k))
 
 
-def _shifted(sample: EmpiricalSample, u: np.ndarray, m_hat: np.ndarray) -> EmpiricalSample:
-    """The draws moved along u by minus their conditional means: X - m_hat u."""
-    return EmpiricalSample(sample.draws - m_hat[:, None] * u[None, :])
-
-
 def symmetrize_sample(
     sample: EmpiricalSample, u, cfg: RegressorConfig | None = None
 ) -> EmpiricalSample:
@@ -230,9 +208,7 @@ def symmetrize_sample(
     The coordinates in u-perp are left untouched; only the u-component
     moves, so the projected sample is conditioned on, never transported.
     """
-    u = _check_unit(u)
-    cfg = cfg or RegressorConfig()
-    return _shifted(sample, u, _conditional_mean(sample, u, cfg))
+    return norm_reduction_check(sample, u, cfg).symmetrized
 
 
 def polygon_steiner_symmetral_2d(poly: ConvexPolygon2D, u) -> ConvexPolygon2D:
@@ -254,23 +230,16 @@ def polygon_steiner_symmetral_2d(poly: ConvexPolygon2D, u) -> ConvexPolygon2D:
     if span <= 0.0:
         raise DegeneratePolygonError("polygon projects to a point")
     breaks = np.unique(t)
-    lower = np.empty(len(breaks))
-    upper = np.empty(len(breaks))
-    k = len(verts)
-    for bi, tb in enumerate(breaks):
-        s_hits = []
-        for i in range(k):
-            t0, s0 = t[i], s[i]
-            t1, s1 = t[(i + 1) % k], s[(i + 1) % k]
-            if t0 == t1:
-                if t0 == tb:
-                    s_hits.extend((s0, s1))
-                continue
-            lo, hi = (t0, t1) if t0 < t1 else (t1, t0)
-            if lo <= tb <= hi:
-                s_hits.append(s0 + (s1 - s0) * (tb - t0) / (t1 - t0))
-        lower[bi] = min(s_hits)
-        upper[bi] = max(s_hits)
+    # where each edge (rows: breaks, columns: edges) meets the line t = break;
+    # an edge along u at that break contributes both of its ends
+    t1, s1 = np.roll(t, -1), np.roll(s, -1)
+    tb = breaks[:, None]
+    along = (t == t1) & (t == tb)
+    crossing = (t != t1) & (np.minimum(t, t1) <= tb) & (tb <= np.maximum(t, t1))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cut = s + (s1 - s) * (tb - t) / (t1 - t)
+    lower = np.where(crossing, cut, np.where(along, np.minimum(s, s1), np.inf)).min(axis=1)
+    upper = np.where(crossing, cut, np.where(along, np.maximum(s, s1), -np.inf)).max(axis=1)
     half = 0.5 * (upper - lower)
     chain = np.concatenate([np.column_stack([breaks, -half]),
                             np.column_stack([breaks[::-1], half[::-1]])])
@@ -385,7 +354,7 @@ def norm_reduction_check(
     cfg = cfg or RegressorConfig()
     m_hat = _conditional_mean(sample, u, cfg)
     before = float(np.mean((sample.draws**2).sum(axis=1)))
-    shifted = _shifted(sample, u, m_hat)
+    shifted = EmpiricalSample(sample.draws - m_hat[:, None] * u[None, :])
     after = float(np.mean((shifted.draws**2).sum(axis=1)))
     return NormReduction(
         before=before,
@@ -397,18 +366,21 @@ def norm_reduction_check(
 
 
 def _symmetry_statistic(draws: np.ndarray) -> float:
-    """Max over probe directions of |mean(z | z>0) + mean(z | z<0)|, z = w'X."""
+    """Max over probe directions of |mean(z | z>0) + mean(z | z<0)|, z = w'X.
+
+    The sums over z > 0 and z < 0 are (sum z +- sum |z|)/2, so every probe
+    is one pass over its row of z; an empty side has mean 0.
+    """
     d = draws.shape[1]
     probes = sphere_directions(d, 16 if d <= 2 else 32, seed=0)
-    z = draws @ probes.T
-    stat = 0.0
-    for col in z.T:
-        pos = col[col > 0.0]
-        neg = col[col < 0.0]
-        m_pos = pos.mean() if pos.size else 0.0
-        m_neg = neg.mean() if neg.size else 0.0
-        stat = max(stat, abs(m_pos + m_neg))
-    return stat
+    z = probes @ draws.T
+    total = z.sum(axis=1)
+    n_pos = np.maximum(np.count_nonzero(z > 0.0, axis=1), 1)
+    n_neg = np.maximum(np.count_nonzero(z < 0.0, axis=1), 1)
+    spread = np.abs(z, out=z).sum(axis=1)
+    m_pos = (total + spread) / (2 * n_pos)
+    m_neg = (total - spread) / (2 * n_neg)
+    return float(np.abs(m_pos + m_neg).max())
 
 
 def _isotropy_numbers(draws: np.ndarray) -> tuple[float, float]:
@@ -448,12 +420,11 @@ def conjecture_explorer(
         elif direction_policy == "cyclic_axes":
             u = np.zeros(d)
             u[(step - 1) % d] = 1.0
+        elif d == 1:
+            u = np.array([1.0])
         else:
-            if d == 1:
-                u = np.array([1.0])
-            else:
-                cov = np.atleast_2d(np.cov(sample.draws, rowvar=False))
-                u = eigenpair_direction(cov, 0, d - 1)
+            cov = np.atleast_2d(np.cov(sample.draws, rowvar=False))
+            u = eigenpair_direction(cov, 0, d - 1)
         reduction = norm_reduction_check(sample, u, cfg)
         sample = reduction.symmetrized
         anisotropy, mean_norm = _isotropy_numbers(sample.draws)

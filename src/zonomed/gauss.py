@@ -4,7 +4,11 @@ A symmetrization step in direction u replaces X by X - u E[u'X | P X],
 with P the projection onto the hyperplane orthogonal to u.  For Gaussians
 the conditional expectation is linear, so the step is a closed-form linear
 map: the covariance becomes A S A' with A = I - c u u' S^-1 P and
-1/c = -u'S^-1 u, and the mean loses its u-component.  Symmetrizing along
+1/c = -u'S^-1 u, and the mean loses its u-component.  The regression
+behind A is one least-squares solve on a factor F of S (F'F = S) in a
+Householder basis of u-perp; the sample step 'exact_linear' runs the same
+solve on its centred draws, so it maps the sample's mean and 1/N
+covariance exactly as this module maps a Gaussian state.  Symmetrizing along
 the direction bisecting two eigenvectors replaces that eigenvalue pair by
 its arithmetic and harmonic means; iterating drives the law to spherical
 symmetry with the determinant conserved.
@@ -80,20 +84,52 @@ def _check_unit(u) -> np.ndarray:
     return u
 
 
+def complement_basis(u) -> np.ndarray:
+    """Deterministic orthonormal basis of u-perp, rows of a (d-1, d) array.
+
+    The rows of the Householder reflection H = I - 2 v v'/(v'v) with
+    v = u + sign(u_k) e_k, k the axis of largest |u|, other than row k:
+    H is symmetric and orthogonal with H e_k = -sign(u_k) u, so the other
+    rows span u-perp.  A fixed convention, so repeated runs agree bit for bit.
+    """
+    u = _check_unit(u)
+    k = int(np.argmax(np.abs(u)))
+    v = u.copy()
+    v[k] += np.copysign(1.0, u[k])
+    reflection = np.eye(u.size) - np.outer(v, v * (2.0 / (v @ v)))
+    return np.delete(reflection, k, axis=0)
+
+
+def _complement_regression(factor: np.ndarray, u: np.ndarray) -> tuple[float, np.ndarray]:
+    """The regression of u'X on P X, from any factor F with F'F proportional to cov X.
+
+    With B = complement_basis(u), least squares of F u on F B' gives the
+    slope beta of u'X on the coordinates B X (the minimum-norm one when
+    F B' is rank-deficient).  Returns (c, coeff_row) with
+    c = -||F u - F B' beta||^2 and coeff_row = B' beta, a vector in u-perp,
+    so E[u'X | P X] = coeff_row . X for centered X.
+    """
+    basis = complement_basis(u)
+    y = factor @ u
+    beta, *_ = np.linalg.lstsq(factor @ basis.T, y, rcond=None)
+    coeff_row = beta @ basis
+    resid = y - factor @ coeff_row
+    return -float(resid @ resid), coeff_row
+
+
 def regression_coefficient(cov: np.ndarray, u) -> tuple[float, np.ndarray]:
     """The linear regression of u'X on P X for centered X ~ N(0, cov).
 
-    Returns (c, coeff_row) with 1/c = -u'cov^-1 u (so c < 0) and
-    coeff_row = c u'cov^-1 P, the row vector satisfying
+    Returns (c, coeff_row) from `_complement_regression` on the Cholesky
+    factor F = L' of cov = L L', so F'F = cov and -c is the residual
+    variance of u'X given P X: 1/c = -u'cov^-1 u (so c < 0), and
     E[u'X | P X] = coeff_row . P X.
     """
     u = _check_unit(u)
     cov = np.asarray(cov, dtype=float)
-    s = np.linalg.solve(cov, u)
-    quad = float(u @ s)
-    c = -1.0 / quad
-    coeff_row = c * (s - quad * u)  # c * u' cov^-1 P, as a vector
-    return c, coeff_row
+    if u.size != cov.shape[0]:
+        raise ValueError(f"direction has dimension {u.size}, covariance has {cov.shape[0]}")
+    return _complement_regression(np.linalg.cholesky(cov).T, u)
 
 
 def symmetrize_gaussian(state: GaussianState, u) -> GaussianState:
@@ -112,29 +148,23 @@ def symmetrize_gaussian(state: GaussianState, u) -> GaussianState:
     return GaussianState(new_mean, new_cov)
 
 
-def _sorted_eigh(cov: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenpairs sorted by descending eigenvalue, sign-normalized vectors."""
-    w, v = np.linalg.eigh(cov)
-    w = w[::-1]
-    v = v[:, ::-1]
-    for k in range(v.shape[1]):
-        col = v[:, k]
-        nz = np.nonzero(np.abs(col) > 1e-12)[0]
-        if nz.size and col[nz[0]] < 0.0:
-            v[:, k] = -col
-    return w, v
-
-
 def eigenpair_direction(cov: np.ndarray, i1: int, i2: int) -> np.ndarray:
-    """u = (v_i1 + v_i2)/sqrt(2) from eigenvectors sorted by descending eigenvalue."""
+    """u = (v_i1 + v_i2)/sqrt(2) from eigenvectors sorted by descending eigenvalue.
+
+    Each eigenvector's sign makes its first entry above 1e-12 in magnitude
+    positive.
+    """
     cov = np.asarray(cov, dtype=float)
     d = cov.shape[0]
     if i1 == i2:
         raise ValueError("need two distinct eigenvector indices")
     if not (0 <= i1 < d and 0 <= i2 < d):
         raise ValueError(f"eigenvector index out of range for d={d}")
-    _, v = _sorted_eigh(cov)
-    u = v[:, i1] + v[:, i2]
+    _, v = np.linalg.eigh(cov)
+    pair = v[:, [d - 1 - i1, d - 1 - i2]]  # eigh sorts ascending
+    lead = pair[np.argmax(np.abs(pair) > 1e-12, axis=0), [0, 1]]
+    pair = np.where(lead < 0.0, -pair, pair)
+    u = pair[:, 0] + pair[:, 1]
     return u / np.linalg.norm(u)
 
 
@@ -184,12 +214,10 @@ def sphere_iterate(
     for _ in range(max_iter):
         eigs = np.linalg.eigvalsh(state.cov)
         if eigs[-1] / eigs[0] - 1.0 < tol:
-            trace.converged = True
             break
         u = eigenpair_direction(state.cov, 0, d - 1)
         state = symmetrize_gaussian(state, u)
         trace.steps.append(_record("eigen", u, eigs, state))
-    else:
-        eigs = np.linalg.eigvalsh(state.cov)
-        trace.converged = bool(eigs[-1] / eigs[0] - 1.0 < tol)
+    eigs = np.linalg.eigvalsh(state.cov)
+    trace.converged = bool(eigs[-1] / eigs[0] - 1.0 < tol)
     return state, trace

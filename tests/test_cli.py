@@ -169,6 +169,10 @@ class TestGaussCommand:
         assert main(["gauss", "--input", gauss_json, "--u", "nan,1"]) == 2
         assert "direction must be a unit vector" in capsys.readouterr().err
 
+    def test_direction_of_wrong_dimension_exit_2(self, gauss_json, capsys):
+        assert main(["gauss", "--input", gauss_json, "--u", "1,0,0"]) == 2
+        assert "direction has dimension 3, covariance has 2" in capsys.readouterr().err
+
     def test_non_symmetric_cov_exit_2(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"mean": [0, 0], "cov": [[1, 0.5], [0.1, 1]]}))
@@ -547,6 +551,12 @@ class TestLazyScipy:
             (tmp_path / f"{name}.csv").write_text(
                 "".join(",".join(map(repr, row)) + "\n" for row in rows)
             )
+        (tmp_path / "state.json").write_text(
+            json.dumps({"mean": [1.0, 2.0, 0.5], "cov": np.diag([1.0, 4.0, 9.0]).tolist()})
+        )
+        (tmp_path / "square.json").write_text(
+            json.dumps({"vertices": [[0, 0], [1, 0], [1, 1], [0, 1]]})
+        )
         return tmp_path
 
     def test_import_cli_leaves_scipy_out(self, tmp_path):
@@ -564,8 +574,14 @@ class TestLazyScipy:
             (["median", "--objective", "polar", "--input", "plane.csv", "--seed", "1"], True),
             (["empirical", "symmetrize", "--input", "space.csv", "--u", "1,1,1",
               "--output-sample", "out.csv"], True),
+            (["gauss", "--input", "state.json", "--spherize"], False),
+            (["empirical", "theorem1", "--polygon", "square.json", "--u", "1,1", "--n", "400",
+              "--seed", "1"], False),
+            (["empirical", "symmetrize", "--input", "space.csv", "--u", "1,1,1",
+              "--method", "exact_linear", "--output-sample", "out.csv"], False),
         ],
-        ids=["intrinsic", "median-vj", "symmetrize-plane", "median-polar", "symmetrize-space"],
+        ids=["intrinsic", "median-vj", "symmetrize-plane", "median-polar", "symmetrize-space",
+             "gauss-spherize", "theorem1", "symmetrize-space-exact-linear"],
     )
     def test_scipy_loaded_only_where_used(self, inputs, argv, loads_scipy):
         report = _fresh_interpreter(_RUN_CLI.format(argv=argv + ["--output", "out.json"]), inputs)

@@ -23,7 +23,13 @@ from zonomed import (
     symmetrize_sample,
     theorem1_check,
 )
-from zonomed.empirical import _conditional_mean, _window_means, _window_starts
+from zonomed.directions import random_direction, sphere_directions
+from zonomed.empirical import (
+    _conditional_mean,
+    _symmetry_statistic,
+    _window_means,
+    _window_starts,
+)
 
 DIAG_U = np.array([1.0, 1.0]) / math.sqrt(2.0)
 SQUARE = ConvexPolygon2D([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
@@ -49,6 +55,19 @@ class TestComplementBasis:
     def test_deterministic(self):
         u = np.array([0.6, 0.8])
         np.testing.assert_array_equal(complement_basis(u), complement_basis(u))
+
+    def test_householder_rows(self):
+        # k = 1, v = u - e_1 = (0.6, -1.8): row 0 of I - 2 v v'/(v'v)
+        np.testing.assert_allclose(complement_basis([0.6, -0.8]), [[0.8, 0.6]], atol=1e-15)
+
+    @pytest.mark.parametrize("d", [1, 30])
+    def test_extreme_dimensions(self, d):
+        u = np.random.default_rng(d).standard_normal(d)
+        u /= np.linalg.norm(u)
+        b = complement_basis(u)
+        assert b.shape == (d - 1, d)
+        np.testing.assert_allclose(b @ b.T, np.eye(d - 1), atol=1e-14)
+        np.testing.assert_allclose(b @ u, np.zeros(d - 1), atol=1e-14)
 
 
 class TestSymmetrizeSample:
@@ -104,6 +123,143 @@ class TestSymmetrizeSample:
         out = symmetrize_sample(sample, [0.0, 1.0], RegressorConfig("knn", k=2))
         assert out.draws[:, 1].mean() == pytest.approx(0.0, abs=1e-12)
         np.testing.assert_allclose(out.draws[:, 0], 0.0, atol=0.0)
+
+
+def sample_moments(draws):
+    """Mean and 1/N covariance of a sample."""
+    mean = draws.mean(axis=0)
+    centred = draws - mean
+    return mean, centred.T @ centred / len(draws)
+
+
+def reference_ols_mean(draws, u):
+    """OLS of u'X on the projected coordinates B X by a direct lstsq, the
+    minimum-norm fit: the reference for exact_linear on rank-deficient
+    samples."""
+    y = draws @ u
+    p = draws @ complement_basis(u).T
+    p_centred = p - p.mean(axis=0)
+    slope, *_ = np.linalg.lstsq(p_centred, y - y.mean(), rcond=None)
+    return y.mean() + p_centred @ slope
+
+
+def _line(n, u, offset):
+    return np.arange(float(n))[:, None] * np.asarray(u) + np.asarray(offset)
+
+
+RANK_DEFICIENT = {
+    "two-points-plane": (np.array([[0.0, 0.0], [1.0, 2.0]]), [1.0, 0.0]),
+    "line-y-2x": (np.column_stack([np.arange(6.0), 2.0 * np.arange(6.0)]), [0.0, 1.0]),
+    "constant-u-column": (
+        np.column_stack([np.random.default_rng(40).standard_normal(6), np.full(6, 3.0)]),
+        [0.0, 1.0],
+    ),
+    "plane-in-space": (
+        np.random.default_rng(41).standard_normal((6, 2)) @ [[1.0, 2.0, 0.5], [0.0, 1.0, -1.0]]
+        + [1.0, -2.0, 0.5],
+        np.array([1.0, 1.0, 1.0]) / math.sqrt(3.0),
+    ),
+    "duplicated-columns": (
+        np.random.default_rng(42).standard_normal((6, 3)) @ [[1.0, 1.0, 0.0], [0.0, 0.0, 1.0],
+                                                             [0.0, 0.0, 0.0]],
+        [0.0, 0.0, 1.0],
+    ),
+}
+
+
+class TestExactLinearStep:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        d=st.integers(1, 5),
+        extra=st.integers(1, 40),
+        log_cond=st.floats(0.0, 4.0),
+        shift=st.floats(0.0, 1e3),
+    )
+    def test_maps_moments_as_the_gaussian_step(self, seed, d, extra, log_cond, shift):
+        # one step maps the sample's (mean, 1/N covariance) exactly as
+        # symmetrize_gaussian maps that Gaussian state; the draws are whitened
+        # so the sample covariance has condition number 10**log_cond, and
+        # shifted by up to 1e3 times their spread (the error grows like
+        # eps * shift / spread)
+        rng = np.random.default_rng(seed)
+        n = d + extra
+        z = rng.standard_normal((n, d))
+        z -= z.mean(axis=0)
+        z = np.linalg.solve(np.linalg.cholesky(z.T @ z / n), z.T).T
+        q, _ = np.linalg.qr(rng.standard_normal((d, d)))
+        eigs = np.logspace(0.0, log_cond, d)
+        draws = (z * np.sqrt(eigs)) @ q.T + shift * math.sqrt(eigs[-1]) * random_direction(rng, d)
+        u = random_direction(rng, d)
+        mean, cov = sample_moments(draws)
+        expected = symmetrize_gaussian(GaussianState(mean, cov), u)
+        out = symmetrize_sample(EmpiricalSample(draws), u, RegressorConfig("exact_linear"))
+        got_mean, got_cov = sample_moments(out.draws)
+        scale = np.abs(cov).max()
+        np.testing.assert_allclose(got_cov, expected.cov, rtol=0.0, atol=1e-12 * scale)
+        np.testing.assert_allclose(
+            got_mean, expected.mean, rtol=0.0, atol=1e-12 * np.abs(draws).max()
+        )
+
+    @pytest.mark.parametrize("name", list(RANK_DEFICIENT))
+    def test_rank_deficient_sample_gets_minimum_norm_fit(self, name):
+        draws, u = RANK_DEFICIENT[name]
+        u = np.asarray(u, dtype=float)
+        got = _conditional_mean(EmpiricalSample(draws), u, RegressorConfig("exact_linear"))
+        np.testing.assert_allclose(got, reference_ols_mean(draws, u), rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("method", ["exact_linear", "knn"])
+    @pytest.mark.parametrize(
+        "draws, u",
+        [
+            (_line(8, [0.6, 0.8], [3.0, -1.0]), [0.6, 0.8]),
+            (_line(6, np.array([1.0, 2.0, 2.0]) / 3.0, [1.0, 0.5, -2.0]),
+             np.array([1.0, 2.0, 2.0]) / 3.0),
+        ],
+        ids=["plane", "space"],
+    )
+    def test_line_parallel_to_u_is_centred(self, draws, u, method):
+        # the projections agree up to roundoff, so the conditional mean is global
+        u = np.asarray(u)
+        out = symmetrize_sample(EmpiricalSample(draws), u, RegressorConfig(method, k=3))
+        t = draws @ u
+        np.testing.assert_allclose(out.draws @ u, t - t.mean(), rtol=0.0, atol=1e-14)
+
+
+def looped_symmetry_statistic(draws):
+    """The statistic one probe at a time, with masked means."""
+    d = draws.shape[1]
+    probes = sphere_directions(d, 16 if d <= 2 else 32, seed=0)
+    stat = 0.0
+    for col in (draws @ probes.T).T:
+        pos = col[col > 0.0]
+        neg = col[col < 0.0]
+        m_pos = pos.mean() if pos.size else 0.0
+        m_neg = neg.mean() if neg.size else 0.0
+        stat = max(stat, abs(m_pos + m_neg))
+    return stat
+
+
+class TestSymmetryStatistic:
+    @pytest.mark.parametrize(
+        "draws",
+        [
+            np.random.default_rng(50).standard_normal((200, 1)),
+            np.random.default_rng(51).standard_normal((300, 2)) * [1.0, 3.0] + [0.5, 0.0],
+            np.random.default_rng(52).exponential(size=(250, 3)),
+            np.random.default_rng(53).standard_normal((100, 5)),
+            np.vstack([np.zeros((5, 2)), np.random.default_rng(54).standard_normal((20, 2))]),
+            np.zeros((4, 3)),
+            np.array([[0.3, -1.2]]),
+            np.array([[2.0], [0.5], [7.0]]),
+        ],
+        ids=["d1", "d2-shifted", "d3-one-octant", "d5", "zero-rows", "all-zero",
+             "single-draw", "d1-one-sided"],
+    )
+    def test_matches_per_probe_loop(self, draws):
+        expected = looped_symmetry_statistic(draws)
+        got = _symmetry_statistic(draws)
+        assert got == pytest.approx(expected, rel=1e-12, abs=1e-15 * np.abs(draws).max())
 
 
 def brute_knn_mean(p, y, k):

@@ -89,7 +89,26 @@ class TestRegressionCoefficient:
         assert c == pytest.approx(expected, rel=1e-10)
 
 
+    def test_c_is_minus_inverse_quadratic_form(self):
+        rng = np.random.default_rng(11)
+        for d in range(1, 6):
+            cov, _ = random_spd(rng, d)
+            u = rng.standard_normal(d)
+            u /= np.linalg.norm(u)
+            c, _ = regression_coefficient(cov, u)
+            assert c == pytest.approx(-1.0 / (u @ np.linalg.solve(cov, u)), rel=1e-12)
+
+    def test_rejects_direction_of_wrong_dimension(self):
+        with pytest.raises(ValueError, match="direction has dimension 3, covariance has 2"):
+            regression_coefficient(np.eye(2), [1.0, 0.0, 0.0])
+
+
 class TestSymmetrizeGaussian:
+    def test_rejects_direction_of_wrong_dimension(self):
+        state = GaussianState([0.0, 0.0], np.eye(2))
+        with pytest.raises(ValueError, match="direction has dimension 3, covariance has 2"):
+            symmetrize_gaussian(state, [1.0, 0.0, 0.0])
+
     def test_rejects_nan_direction(self):
         # every comparison with nan is false, so the unit check must fail on it
         state = GaussianState([0.0, 0.0], np.eye(2))
