@@ -21,7 +21,7 @@ import numpy as np
 
 from .directions import random_direction, sphere_directions
 from .errors import DegeneratePolygonError
-from .gauss import _check_unit, _complement_regression, complement_basis, eigenpair_direction
+from .gauss import _bisector, _check_unit, _complement_regression, complement_basis
 from .polygon import (
     ConvexPolygon2D,
     _prune_collinear,
@@ -383,15 +383,6 @@ def _symmetry_statistic(draws: np.ndarray) -> float:
     return float(np.abs(m_pos + m_neg).max())
 
 
-def _isotropy_numbers(draws: np.ndarray) -> tuple[float, float]:
-    cov = np.cov(draws, rowvar=False)
-    cov = np.atleast_2d(cov)
-    eigs = np.linalg.eigvalsh(cov)
-    anisotropy = float(eigs[-1] / eigs[0]) if eigs[0] > 0.0 else math.inf
-    mean_norm = float(np.linalg.norm(draws.mean(axis=0)))
-    return anisotropy, mean_norm
-
-
 def conjecture_explorer(
     sample: EmpiricalSample,
     steps: int,
@@ -403,16 +394,22 @@ def conjecture_explorer(
 
     Policies: 'random_seeded' draws a fresh uniform direction each step,
     'cyclic_axes' cycles the coordinate axes, 'max_anisotropy' bisects the
-    extreme eigenvectors of the current sample covariance.  One report per
-    step; the stream is an instrument, not a convergence claim.
+    extreme eigenvectors of the current sample covariance.  Each sample's
+    covariance is decomposed once, by one eigh: its eigenvalues give the
+    step's anisotropy, its eigenvectors the next 'max_anisotropy' direction.
+    One report per step; the stream is an instrument, not a convergence claim.
     """
     if steps < 1:
         raise ValueError("need at least one step")
     if direction_policy not in ("random_seeded", "cyclic_axes", "max_anisotropy"):
         raise ValueError(f"unknown direction policy {direction_policy!r}")
+    if sample.n < 2:
+        raise ValueError(f"need at least 2 draws to estimate a covariance, got {sample.n}")
     cfg = cfg or RegressorConfig()
     rng = np.random.default_rng(seed)
     d = sample.dim
+    if direction_policy == "max_anisotropy":
+        _, vecs = np.linalg.eigh(np.atleast_2d(np.cov(sample.draws, rowvar=False)))
     reports: list[IsotropyReport] = []
     for step in range(1, steps + 1):
         if direction_policy == "random_seeded":
@@ -420,20 +417,17 @@ def conjecture_explorer(
         elif direction_policy == "cyclic_axes":
             u = np.zeros(d)
             u[(step - 1) % d] = 1.0
-        elif d == 1:
-            u = np.array([1.0])
         else:
-            cov = np.atleast_2d(np.cov(sample.draws, rowvar=False))
-            u = eigenpair_direction(cov, 0, d - 1)
+            u = _bisector(vecs, 0, d - 1)
         reduction = norm_reduction_check(sample, u, cfg)
         sample = reduction.symmetrized
-        anisotropy, mean_norm = _isotropy_numbers(sample.draws)
+        eigs, vecs = np.linalg.eigh(np.atleast_2d(np.cov(sample.draws, rowvar=False)))
         reports.append(
             IsotropyReport(
                 step=step,
                 direction=u.copy(),
-                anisotropy=anisotropy,
-                mean_norm=mean_norm,
+                anisotropy=float(eigs[-1] / eigs[0]) if eigs[0] > 0.0 else math.inf,
+                mean_norm=float(np.linalg.norm(sample.draws.mean(axis=0))),
                 mean_square_norm=reduction.after,
                 symmetry_stat=_symmetry_statistic(sample.draws),
                 mean_square_decrease=reduction.decrease,

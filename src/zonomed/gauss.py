@@ -160,8 +160,16 @@ def eigenpair_direction(cov: np.ndarray, i1: int, i2: int) -> np.ndarray:
         raise ValueError("need two distinct eigenvector indices")
     if not (0 <= i1 < d and 0 <= i2 < d):
         raise ValueError(f"eigenvector index out of range for d={d}")
-    _, v = np.linalg.eigh(cov)
-    pair = v[:, [d - 1 - i1, d - 1 - i2]]  # eigh sorts ascending
+    return _bisector(np.linalg.eigh(cov)[1], i1, i2)
+
+
+def _bisector(vecs: np.ndarray, i1: int, i2: int) -> np.ndarray:
+    """`eigenpair_direction` from eigh's eigenvector columns (ascending order).
+
+    With i1 == i2 this is the signed eigenvector itself, [1.0] when d = 1.
+    """
+    d = vecs.shape[0]
+    pair = vecs[:, [d - 1 - i1, d - 1 - i2]]
     lead = pair[np.argmax(np.abs(pair) > 1e-12, axis=0), [0, 1]]
     pair = np.where(lead < 0.0, -pair, pair)
     u = pair[:, 0] + pair[:, 1]
@@ -178,46 +186,43 @@ def double_mean_update(lam1: float, lam2: float) -> tuple[float, float]:
     return 0.5 * (lam1 + lam2), 2.0 * lam1 * lam2 / (lam1 + lam2)
 
 
-def _record(kind: str, u: np.ndarray, before: np.ndarray, state: GaussianState) -> SymmetrizationStep:
-    after = np.linalg.eigvalsh(state.cov)
-    return SymmetrizationStep(
-        kind=kind,
-        direction=u.copy(),
-        eigenvalues_before=np.asarray(before).copy(),
-        eigenvalues_after=after,
-        det=float(np.prod(after)),
-        trace=float(np.trace(state.cov)),
-        mean_norm=float(np.linalg.norm(state.mean)),
-    )
-
-
 def sphere_iterate(
     state: GaussianState, tol: float = 1e-10, max_iter: int = 1000
 ) -> tuple[GaussianState, SymmetrizationTrace]:
     """Drive a Gaussian state to spherical symmetry about the origin.
 
     First centers the mean (one symmetrization along mean/||mean||), then
-    repeatedly symmetrizes along the bisector of the extreme eigenvalue
-    pair until max/min eigenvalue ratio - 1 < tol.  Eigen steps conserve
-    det cov, so the limit is (det cov)^(1/d) times the identity.
+    symmetrizes, at most max_iter times, along the bisector of the extreme
+    eigenvalue pair until max/min eigenvalue ratio - 1 < tol.  Eigen steps
+    conserve det cov, so the limit is (det cov)^(1/d) times the identity.
+    Each covariance is decomposed once, by one eigh: its eigenvalues give
+    the step record (eigenvalues_after, det), the stop test and the next
+    step's eigenvalues_before, its eigenvectors the next bisector.
     """
     if not tol > 0.0:
         raise ValueError("tolerance must be positive")
+    if max_iter < 0:
+        raise ValueError(f"max_iter must be nonnegative, got {max_iter}")
     trace = SymmetrizationTrace()
-    mean_norm = float(np.linalg.norm(state.mean))
-    if mean_norm > 0.0:
-        u = state.mean / mean_norm
-        before = np.linalg.eigvalsh(state.cov)
-        state = symmetrize_gaussian(state, u)
-        trace.steps.append(_record("center", u, before, state))
     d = state.dim
-    for _ in range(max_iter):
-        eigs = np.linalg.eigvalsh(state.cov)
-        if eigs[-1] / eigs[0] - 1.0 < tol:
+    eigs, vecs = np.linalg.eigh(state.cov)
+    mean_norm = float(np.linalg.norm(state.mean))
+    for i in range(-1, max_iter):  # i = -1 is the centering step
+        if i < 0:
+            if mean_norm == 0.0:
+                continue
+            kind, u = "center", state.mean / mean_norm
+        elif eigs[-1] / eigs[0] - 1.0 < tol:
             break
-        u = eigenpair_direction(state.cov, 0, d - 1)
+        else:
+            kind, u = "eigen", _bisector(vecs, 0, d - 1)
         state = symmetrize_gaussian(state, u)
-        trace.steps.append(_record("eigen", u, eigs, state))
-    eigs = np.linalg.eigvalsh(state.cov)
+        before = eigs
+        eigs, vecs = np.linalg.eigh(state.cov)
+        trace.steps.append(SymmetrizationStep(
+            kind=kind, direction=u, eigenvalues_before=before, eigenvalues_after=eigs,
+            det=float(np.prod(eigs)), trace=float(np.trace(state.cov)),
+            mean_norm=float(np.linalg.norm(state.mean)),
+        ))
     trace.converged = bool(eigs[-1] / eigs[0] - 1.0 < tol)
     return state, trace

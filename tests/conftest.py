@@ -39,6 +39,18 @@ def random_spd(rng: np.random.Generator, d: int, lo: float = 0.5, hi: float = 5.
     return (q * eigs) @ q.T, eigs
 
 
+def record_calls(monkeypatch, module, *names) -> dict[str, list[np.ndarray]]:
+    """Wrap each named function of ``module``; record a copy of every first argument."""
+    calls = {name: [] for name in names}
+    for name in names:
+        def wrapped(a, *args, _name=name, _real=getattr(module, name), **kwargs):
+            calls[_name].append(np.array(a))
+            return _real(a, *args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapped)
+    return calls
+
+
 def rotation_matrix(rng: np.random.Generator, d: int) -> np.ndarray:
     q, r = np.linalg.qr(rng.standard_normal((d, d)))
     q *= np.sign(np.diag(r))

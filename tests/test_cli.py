@@ -178,6 +178,10 @@ class TestGaussCommand:
         bad.write_text(json.dumps({"mean": [0, 0], "cov": [[1, 0.5], [0.1, 1]]}))
         assert main(["gauss", "--input", str(bad), "--spherize"]) == 2
 
+    def test_negative_max_iter_exit_2(self, gauss_json, capsys):
+        assert main(["gauss", "--input", gauss_json, "--spherize", "--max-iter", "-3"]) == 2
+        assert "max_iter must be nonnegative, got -3" in capsys.readouterr().err
+
     def test_spherical_input_zero_eigen_steps(self, tmp_path):
         path = tmp_path / "iso.json"
         path.write_text(json.dumps({"mean": [0.0, 0.0], "cov": [[1.0, 0.0], [0.0, 1.0]]}))
@@ -271,6 +275,13 @@ class TestEmpiricalCommand:
         err = capsys.readouterr().err
         assert err.startswith("zonomed: error:") and "JSON" in err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["in.csv"]
+
+    def test_explore_one_draw_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "one.csv"
+        path.write_text("1,2\n")
+        code = main(["empirical", "explore", "--input", str(path), "--steps", "2", "--seed", "1"])
+        assert code == 2
+        assert "need at least 2 draws to estimate a covariance, got 1" in capsys.readouterr().err
 
     def test_k_exceeds_n_exit_2(self, sample_csv):
         code = main(

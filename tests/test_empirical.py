@@ -30,6 +30,7 @@ from zonomed.empirical import (
     _window_means,
     _window_starts,
 )
+from conftest import record_calls
 
 DIAG_U = np.array([1.0, 1.0]) / math.sqrt(2.0)
 SQUARE = ConvexPolygon2D([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
@@ -520,3 +521,31 @@ class TestConjectureExplorer:
         sample = gaussian_sample(100, seed=24)
         with pytest.raises(ValueError):
             conjecture_explorer(sample, 1, "sideways")
+
+    def test_one_draw_rejected(self):
+        with pytest.raises(ValueError, match="need at least 2 draws .* got 1"):
+            conjecture_explorer(EmpiricalSample([[1.0, 2.0]]), 1, "cyclic_axes")
+
+    def test_d1_max_anisotropy_direction(self):
+        sample = EmpiricalSample(np.random.default_rng(28).standard_normal((50, 1)) + 3.0)
+        reports = conjecture_explorer(
+            sample, 3, "max_anisotropy", RegressorConfig("exact_linear")
+        )
+        for r in reports:
+            np.testing.assert_array_equal(r.direction, [1.0])
+
+    def test_one_cov_and_eigh_per_sample(self, monkeypatch):
+        # the covariance of each sample held (the input and every step's
+        # output) is formed once and decomposed once, by eigh
+        rng = np.random.default_rng(29)
+        sample = EmpiricalSample(rng.standard_normal((400, 3)) * [3.0, 1.0, 0.5])
+        calls = record_calls(monkeypatch, np.linalg, "eigh", "eigvalsh")
+        calls.update(record_calls(monkeypatch, np, "cov"))
+        steps = 4
+        reports = conjecture_explorer(
+            sample, steps, "max_anisotropy", RegressorConfig("exact_linear")
+        )
+        assert len(reports) == steps
+        assert len(calls["cov"]) == len(calls["eigh"]) == steps + 1
+        assert len({a.tobytes() for a in calls["cov"]}) == steps + 1
+        assert calls["eigvalsh"] == []

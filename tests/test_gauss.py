@@ -13,7 +13,7 @@ from zonomed import (
     sphere_iterate,
     symmetrize_gaussian,
 )
-from conftest import random_spd
+from conftest import random_spd, record_calls
 
 DIAG_U = np.array([1.0, 1.0]) / math.sqrt(2.0)
 
@@ -306,3 +306,50 @@ class TestSphereIterate:
             sphere_iterate(GaussianState([0.0], [[1.0]]), tol=0.0)
         with pytest.raises(ValueError):
             sphere_iterate(GaussianState([0.0], [[1.0]]), tol=math.nan)
+
+    def test_rejects_negative_max_iter(self):
+        with pytest.raises(ValueError, match="max_iter must be nonnegative, got -3"):
+            sphere_iterate(GaussianState([1.0, 0.0], np.diag([1.0, 4.0])), max_iter=-3)
+
+    def test_max_iter_zero_centers_only(self):
+        state = GaussianState([1.0, 2.0], np.diag([1.0, 4.0]))
+        final, trace = sphere_iterate(state, max_iter=0)
+        assert [s.kind for s in trace.steps] == ["center"] and not trace.converged
+        np.testing.assert_allclose(final.mean, 0.0, atol=1e-15)
+
+    def test_one_eigh_per_covariance(self, monkeypatch):
+        # each state's spectrum comes from one eigh; the only other
+        # decomposition is GaussianState's validating eigvalsh
+        rng = np.random.default_rng(41)
+        cov, _ = random_spd(rng, 6)
+        state = GaussianState(rng.standard_normal(6), cov)
+        calls = record_calls(monkeypatch, np.linalg, "eigh", "eigvalsh")
+        _, trace = sphere_iterate(state)
+        assert trace.converged and trace.steps[0].kind == "center"
+        assert len(calls["eigh"]) == len(trace) + 1
+        assert len({a.tobytes() for a in calls["eigh"]}) == len(trace) + 1
+        assert len(calls["eigvalsh"]) == len(trace)
+
+    @pytest.mark.parametrize("d", range(1, 9))
+    def test_steps_chain_and_replay(self, d):
+        rng = np.random.default_rng(500 + d)
+        cov, _ = random_spd(rng, d)
+        start = GaussianState(rng.standard_normal(d), cov)
+        final, trace = sphere_iterate(start)
+        assert trace.converged
+        np.testing.assert_array_equal(
+            trace.steps[0].eigenvalues_before, np.linalg.eigh(start.cov)[0]
+        )
+        for prev, step in zip(trace.steps, trace.steps[1:]):
+            np.testing.assert_array_equal(step.eigenvalues_before, prev.eigenvalues_after)
+        # replay the recorded directions: each eigen step bisects the
+        # extreme eigenvectors of the covariance it was taken from
+        state = start
+        for step in trace.steps:
+            if step.kind == "eigen":
+                np.testing.assert_array_equal(
+                    step.direction, eigenpair_direction(state.cov, 0, d - 1)
+                )
+            state = symmetrize_gaussian(state, step.direction)
+        np.testing.assert_array_equal(state.cov, final.cov)
+        np.testing.assert_array_equal(state.mean, final.mean)
