@@ -185,9 +185,9 @@ def _cmd_symmetrize(args) -> int:
         "regression_mean_square": reduction.regression_mean_square,
     })
     if args.output_sample:
-        rows = reduction.symmetrized.draws.tolist()
-        buf = "\n".join(",".join(map(repr, row)) for row in rows) + "\n"
-        _write_output(buf, args.output_sample)
+        draws = reduction.symmetrized.draws
+        row = ",".join(["%r"] * draws.shape[1]) + "\n"
+        _write_output(row * draws.shape[0] % tuple(draws.ravel().tolist()), args.output_sample)
     _write_output(text, args.output)
     return EXIT_OK
 

@@ -14,6 +14,7 @@ steps while reporting isotropy diagnostics.
 from __future__ import annotations
 
 import math
+import os
 import sys
 from dataclasses import dataclass, field
 
@@ -30,7 +31,8 @@ from .polygon import (
     polygon_area,
 )
 
-# Neighbours per kd-tree query block: 2**20 int64 indices are 8 MB.
+# Neighbours per kd-tree query block: 2**20 int64 indices and 2**20 float64
+# distances are 16 MB.
 _QUERY_NEIGHBOURS = 2**20
 
 
@@ -135,10 +137,12 @@ def _conditional_mean(sample: EmpiricalSample, u: np.ndarray, cfg: RegressorConf
     over the k nearest draws in p = B X, B = complement_basis(u), the draw
     itself included.  When p is one coordinate (d = 2) those neighbours are
     a window of the sorted projections, found exactly in O(N log N) by
-    `_window_means`; otherwise a kd-tree is queried in blocks of about
-    `_QUERY_NEIGHBOURS` neighbours, so no N x k array is built.  A sample in
-    R^1, or one whose projections all agree to within the roundoff of
-    computing them, 16 d eps max|X|, gets the global mean.
+    `_window_means`; otherwise a kd-tree is queried on every CPU the process
+    may run on (each row is searched alone, so the bytes do not depend on
+    their count) in blocks of about `_QUERY_NEIGHBOURS` neighbours, so no
+    N x k array is built.  A sample in R^1, or one whose projections all
+    agree to within the roundoff of computing them, 16 d eps max|X|, gets
+    the global mean.
     """
     if u.size != sample.dim:
         raise ValueError(f"direction has dimension {u.size}, sample has {sample.dim}")
@@ -149,7 +153,8 @@ def _conditional_mean(sample: EmpiricalSample, u: np.ndarray, cfg: RegressorConf
         return np.full(sample.n, y.mean())
     p = sample.draws @ complement_basis(u).T
     roundoff = 16.0 * sample.dim * np.finfo(float).eps * np.abs(sample.draws).max()
-    if np.ptp(p, axis=0).max() <= roundoff:
+    spread = np.ptp(p, axis=0)
+    if spread.max() <= roundoff:
         # degenerate projected coordinates: the conditional mean is global
         return np.full(sample.n, y.mean())
     if cfg.method == "exact_linear":
@@ -158,12 +163,16 @@ def _conditional_mean(sample: EmpiricalSample, u: np.ndarray, cfg: RegressorConf
         return y.mean() + centred @ coeff_row
     if p.shape[1] == 1:
         return _window_means(p[:, 0], y, k)
+    # squared distances up to 2**1022 cannot overflow; scaled, hypot cannot either
+    if np.hypot.reduce(spread * 2.0**-511) > 1.0:
+        raise ValueError("projected draws span more than 2**511, too far for the kd-tree")
     # through the module, so the first use imports it and a replaced class is used
     tree = sys.modules[__name__].cKDTree(p)
     rows = max(1, _QUERY_NEIGHBOURS // k)
+    workers = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else -1
     m_hat = np.empty(sample.n)
     for start in range(0, sample.n, rows):
-        _, idx = tree.query(p[start:start + rows], k=k)
+        _, idx = tree.query(p[start:start + rows], k=k, workers=workers)
         m_hat[start:start + rows] = y[idx.reshape(-1, k)].mean(axis=1)
     return m_hat
 

@@ -276,6 +276,23 @@ class TestEmpiricalCommand:
         assert err.startswith("zonomed: error:") and "JSON" in err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["in.csv"]
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["empirical", "symmetrize", "--u", "1,0,0", "--output-sample", "sym.csv"],
+         ["empirical", "explore", "--steps", "2", "--seed", "1"]],
+        ids=["symmetrize", "explore"],
+    )
+    def test_knn_tree_overflow_exit_2(self, tmp_path, monkeypatch, capsys, argv):
+        # finite draws whose squared distances overflow in the kd-tree are an
+        # input error, found before the tree is built and before any file
+        monkeypatch.chdir(tmp_path)
+        draws = (np.random.default_rng(40).standard_normal((40, 3)) * 1e155).tolist()
+        (tmp_path / "in.csv").write_text("".join(f"{a!r},{b!r},{c!r}\n" for a, b, c in draws))
+        code = main(argv + ["--method", "knn", "--input", "in.csv", "--output", "out.json"])
+        assert code == 2
+        assert "kd-tree" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["in.csv"]
+
     def test_explore_one_draw_exit_2(self, tmp_path, capsys):
         path = tmp_path / "one.csv"
         path.write_text("1,2\n")

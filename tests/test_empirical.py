@@ -1,6 +1,7 @@
 """Sample-based symmetrization, exact polygon symmetrals, and diagnostics."""
 
 import math
+import os
 
 import numpy as np
 import pytest
@@ -329,24 +330,42 @@ class TestKnnConditionalMean:
         got = _conditional_mean(sample, DIAG_U, RegressorConfig("knn", k=2))
         np.testing.assert_allclose(got, sample.draws @ DIAG_U, rtol=0.0, atol=1e-14)
 
-    @pytest.mark.parametrize("k", [1, 3, 5])
-    def test_tree_blocks_match_one_query(self, k, monkeypatch):
+    @pytest.mark.parametrize(
+        "k, ties, block", [(1, False, 7), (3, False, 7), (5, False, 7), (17, True, 17 * 40)],
+        ids=["1", "3", "5", "ties"],
+    )
+    def test_tree_blocks_match_one_query(self, k, ties, block, monkeypatch):
+        # every query runs on the CPUs this process may use; its rows must be
+        # bitwise those of a one-worker query, also where distances tie: an
+        # integer grid projected along an axis, every draw stacked twice
         rng = np.random.default_rng(33)
-        sample = EmpiricalSample(rng.standard_normal((101, 3)))
-        u = np.array([1.0, 2.0, 2.0]) / 3.0
+        if ties:
+            grid = rng.integers(-2, 3, size=(150, 4)).astype(float)
+            sample = EmpiricalSample(np.vstack([grid, grid[::-1]]))
+            u = np.array([0.0, 0.0, 0.0, 1.0])
+        else:
+            sample = EmpiricalSample(rng.standard_normal((101, 3)))
+            u = np.array([1.0, 2.0, 2.0]) / 3.0
         cfg = RegressorConfig("knn", k=k)
         whole = _conditional_mean(sample, u, cfg)
-        queries = []
+        queries, workers = [], set()
 
         class CountingTree(cKDTree):
             def query(self, x, *args, **kwargs):
                 queries.append(len(x))
-                return super().query(x, *args, **kwargs)
+                workers.add(kwargs["workers"])
+                got = super().query(x, *args, **kwargs)
+                serial = super().query(x, *args, **dict(kwargs, workers=1))
+                for a, b in zip(got, serial):
+                    np.testing.assert_array_equal(a, b)
+                return got
 
         monkeypatch.setattr(empirical, "cKDTree", CountingTree)
-        monkeypatch.setattr(empirical, "_QUERY_NEIGHBOURS", 7)
+        monkeypatch.setattr(empirical, "_QUERY_NEIGHBOURS", block)
         blocked = _conditional_mean(sample, u, cfg)
-        assert len(queries) > 1 and max(queries) == 7 // k and sum(queries) == 101
+        assert len(queries) > 1 and max(queries) == block // k and sum(queries) == sample.n
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else -1
+        assert workers == {cpus}
         np.testing.assert_array_equal(blocked, whole)
 
 
