@@ -1,7 +1,7 @@
 """Command-line front end: CSV/JSON in, deterministic JSON out.
 
-Exit codes: 0 success, 2 input or validation error, 3 solver did not
-converge (the result is still written).
+Exit codes: 0 success, 2 input or validation error (a result past float64
+included), 3 solver did not converge (the result is still written).
 """
 
 from __future__ import annotations
@@ -95,11 +95,17 @@ def _write_output(text: str, path: str) -> None:
 
 
 def _dumps(payload: dict) -> str:
-    """Strict JSON (a non-finite value raises ValueError), one line."""
-    return json.dumps(
-        payload, sort_keys=True, separators=(",", ":"), allow_nan=False,
-        default=lambda o: o.tolist(),
-    ) + "\n"
+    """Strict JSON, one line; a non-finite value raises ValueError, which
+    names the top-level numbers that are not finite."""
+    try:
+        return json.dumps(
+            payload, sort_keys=True, separators=(",", ":"), allow_nan=False,
+            default=lambda o: o.tolist(),
+        ) + "\n"
+    except ValueError:
+        bad = [k for k, v in payload.items() if isinstance(v, float) and not math.isfinite(v)]
+        names = ", ".join(sorted(bad)) or "a nested value"
+        raise ValueError(f"not finite, so not strict JSON: {names}") from None
 
 
 def _config(args) -> dict:
@@ -290,7 +296,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ZonomedError, ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
+    except (ZonomedError, ValueError, OverflowError, OSError, KeyError,
+            json.JSONDecodeError) as exc:
         print(f"zonomed: error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -362,14 +362,16 @@ def norm_reduction_check(
     u = _check_unit(u)
     cfg = cfg or RegressorConfig()
     m_hat = _conditional_mean(sample, u, cfg)
-    before = float(np.mean((sample.draws**2).sum(axis=1)))
     shifted = EmpiricalSample(sample.draws - m_hat[:, None] * u[None, :])
-    after = float(np.mean((shifted.draws**2).sum(axis=1)))
+    with np.errstate(over="ignore"):  # a mean square past float64 is inf
+        before = float(np.mean((sample.draws**2).sum(axis=1)))
+        after = float(np.mean((shifted.draws**2).sum(axis=1)))
+        regression_mean_square = float(np.mean(m_hat**2))
     return NormReduction(
         before=before,
         after=after,
         decrease=before - after,
-        regression_mean_square=float(np.mean(m_hat**2)),
+        regression_mean_square=regression_mean_square,
         symmetrized=shifted,
     )
 

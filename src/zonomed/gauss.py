@@ -114,7 +114,8 @@ def _complement_regression(factor: np.ndarray, u: np.ndarray) -> tuple[float, np
     beta, *_ = np.linalg.lstsq(factor @ basis.T, y, rcond=None)
     coeff_row = beta @ basis
     resid = y - factor @ coeff_row
-    return -float(resid @ resid), coeff_row
+    with np.errstate(over="ignore"):  # a residual variance past float64 is inf
+        return -float(resid @ resid), coeff_row
 
 
 def regression_coefficient(cov: np.ndarray, u) -> tuple[float, np.ndarray]:

@@ -204,9 +204,12 @@ def _face_forms(points: np.ndarray, orders) -> list[tuple[np.ndarray, np.ndarray
         a = points[idx[:, 0]]
         edges = np.swapaxes(points[idx[:, 1:]] - a[:, None, :], 1, 2)
         q, r = np.linalg.qr(edges, mode="complete")
-        w = np.abs(np.diagonal(r, axis1=1, axis2=2)).prod(axis=1)
-        # a volume within round-off of the edge lengths' product is zero
-        keep = w > j * np.finfo(float).eps * np.linalg.norm(edges, axis=1).prod(axis=1)
+        diag = np.abs(np.diagonal(r, axis1=1, axis2=2))
+        w = diag.prod(axis=1)
+        # a volume within round-off of the edge lengths' product is zero;
+        # compared edge by edge, neither side overflows
+        with np.errstate(invalid="ignore"):  # a zero edge's 0 / 0 is not kept
+            keep = (diag / np.hypot.reduce(edges, axis=1)).prod(axis=1) > j * np.finfo(float).eps
         groups.append((a[keep], w[keep], q[keep][:, :, j - 1 :]))
     return groups
 
@@ -247,9 +250,14 @@ def _face_median(cloud: PointCloud, orders, opts: SolverOptions, constant: float
     is converged only when the last stage ended within that cap.
     """
     pts = cloud.points
-    groups = _face_forms(pts, orders)
-    scale = _cloud_scale(pts)
     x = np.median(pts, axis=0)
+    # the start's value at eps = scale, finite, bounds every value met below
+    with np.errstate(over="ignore", invalid="ignore"):
+        groups = _face_forms(pts, orders)
+        scale = _cloud_scale(pts)
+        finite = math.isfinite(_face_value(groups, x, scale))
+    if not finite:
+        raise OverflowError("the objective overflows float64 on this cloud")
     path = []
     for eps in scale * 10.0 ** -np.arange(2.0, 14.0):
         floor = max(1e-3 * eps, 1e-14 * scale)

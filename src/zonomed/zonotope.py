@@ -15,11 +15,12 @@ j-volume of the parallelepiped G_S spans.  One kernel computes it:
   O(m log m).
 * otherwise: the j-volume of G_S is the norm of the wedge product
   g_{s_1} ^ ... ^ g_{s_j}, whose coordinates are the j x j minors of G_S
-  (Cauchy-Binet; for j = d the single minor det G_S).  The minors w_{S'}
-  of the (j-1)-subsets are built in chunks, in colexicographic order, from
-  the minors of all (j-2)-subsets; each chunk is wedged with every later
-  generator at once, and V_j = sum_{S'} sum_{l > max S'} ||w_{S'} ^ g_l||.
-  No array has a row per (j-1)- or j-subset.
+  (Cauchy-Binet; for j = d the single minor det G_S), and
+  V_j = sum_{S'} sum_{l > max S'} ||w_{S'} ^ g_l|| over the (j-1)-subsets S'.
+  In colexicographic order the S' with largest element l are the first
+  C(l, j-2) rows of the (j-2)-minor table, each wedged with g_l, and each
+  such block is wedged with every later generator at once.  No array has a
+  row per (j-1)- or j-subset, and no result depends on how blocks are sliced.
 
 Minors keep the accuracy of the generators themselves: a zonotope 1e-7 thin
 in one direction, or generators 1e-6 apart in angle, lose no more digits
@@ -39,7 +40,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 # Elements per temporary array of the subset-volume kernel; larger problems
-# are streamed through it in chunks.
+# are streamed through it in slices.  Exact results do not depend on it.
 _CHUNK = 1 << 16
 
 
@@ -141,6 +142,7 @@ def unit_ball_volume(j: int) -> float:
     return vol
 
 
+@functools.cache
 def _wedge_table(d: int, t: int) -> tuple[np.ndarray, np.ndarray]:
     """Index tables of one wedge step from t-minors to (t+1)-minors in R^d.
 
@@ -157,65 +159,17 @@ def _wedge_table(d: int, t: int) -> tuple[np.ndarray, np.ndarray]:
     return np.array(src, dtype=np.intp), np.array(upper, dtype=np.intp).T
 
 
-def _take_index(d: int, m: int, t: int, parent, later, n_parent: int):
-    """Flat take-indices (t+1, C(d, t+1), k) that wedge the t-minors of rows
-    ``parent`` (of n_parent) with generators ``later``; see _wedge."""
-    src, coord = _wedge_table(d, t)
-    index = src[:, :, None] * n_parent + parent, coord[:, :, None] * m + later
-    for a in index:
-        a.flags.writeable = False  # plans are cached and shared between calls
-    return index
+def _wedge(W: np.ndarray, G: np.ndarray, t: int) -> np.ndarray:
+    """(t+1)-minors (C(d, t+1), r, k, b) of each of r t-subsets joined by each
+    of k generators, from the t-minors W (C(d, t), r, b) of the subsets and
+    the generators G (d, k, b), for b generator sets.
 
-
-def _colex(m: int, t: int, s: int, e: int):
-    """Largest element and rest-rank of the t-subsets of range(m) with
-    colexicographic rank s..e-1.
-
-    In colex order the C(l, t) subsets of range(l) come first, so rank r has
-    largest element l with C(l, t) <= r < C(l + 1, t), and r - C(l, t) is
-    the rank of the rest among the (t-1)-subsets.
+    Products and sums are formed elementwise, not through BLAS: a fused
+    multiply-add would break the exact antisymmetry of the 2 x 2 minors that
+    makes V_2 permutation-exact.
     """
-    l = np.arange(m + 1)
-    bounds = np.ones(m + 1, dtype=np.int64)
-    for i in range(t):
-        bounds = bounds * (l - i) // (i + 1)  # C(l, i + 1), exactly
-    rank = np.arange(s, e)
-    last = np.searchsorted(bounds, rank, side="right") - 1
-    return last, rank - bounds[last]
-
-
-@functools.lru_cache(maxsize=8)
-def _build_plan(d: int, m: int, t: int, s: int, e: int):
-    """Take-indices that form the t-minors of colex ranks s..e-1 from all
-    (t-1)-minors."""
-    last, rest = _colex(m, t, s, e)
-    return _take_index(d, m, t - 1, rest, last, math.comb(m, t - 1))
-
-
-@functools.lru_cache(maxsize=8)
-def _extend_plan(d: int, m: int, t: int, s: int, e: int):
-    """Take-indices that wedge the t-minors of colex ranks s..e-1 (as rows
-    0..e-s-1) with every generator after each subset's largest element."""
-    last, _ = _colex(m, t, s, e)
-    runs = m - 1 - last
-    parent = np.repeat(np.arange(e - s), runs)
-    # the q-th pair of a run takes generator last + 1 + q
-    later = np.arange(parent.size) - np.repeat(np.cumsum(runs) - runs - last - 1, runs)
-    return _take_index(d, m, t, parent, later, e - s)
-
-
-def _wedge(W: np.ndarray, G: np.ndarray, iw: np.ndarray, ig: np.ndarray) -> np.ndarray:
-    """(t+1)-minors (C(d, t+1), k, b) of k subsets, each a row of W wedged
-    with one generator.
-
-    W is (C(d, t) * n, b): the t-minors of n subsets, coordinate-major, for
-    each of b generator sets; G is (d * m, b), the generators laid out the
-    same way; iw and ig come from _take_index.  Products and sums are formed
-    elementwise, not through BLAS: a fused multiply-add would break the
-    exact antisymmetry of the 2 x 2 minors that makes V_2 permutation-exact.
-    """
-    terms = W.take(iw, axis=0)
-    terms *= G.take(ig, axis=0)
+    src, coord = _wedge_table(G.shape[0], t)
+    terms = W[src][:, :, :, None] * G[coord][:, :, None]
     X = terms[0]
     for p in range(1, len(terms)):
         if p % 2:
@@ -223,6 +177,20 @@ def _wedge(W: np.ndarray, G: np.ndarray, iw: np.ndarray, ig: np.ndarray) -> np.n
         else:
             X += terms[p]
     return X
+
+
+def _minors(G: np.ndarray, t: int) -> np.ndarray:
+    """t-minors (C(d, t), C(m, t), b) of the t-subsets of G (d, m, b) in colex
+    order, one block per largest element l from the first C(l, t-1) rows of
+    the (t-1)-minor table; the one 0-minor is 1."""
+    if t == 0:
+        return np.ones((1, 1, G.shape[2]))
+    lower = _minors(G, t - 1)
+    blocks = [
+        _wedge(lower[:, : math.comb(l, t - 1)], G[:, l : l + 1], t - 1)[:, :, 0]
+        for l in range(t - 1, G.shape[1])
+    ]
+    return np.concatenate(blocks, axis=1)
 
 
 def _planar_terms(H: np.ndarray) -> np.ndarray:
@@ -245,9 +213,9 @@ def _volume_terms(H: np.ndarray, j: int):
     """Yield (k, b) arrays of nonnegative terms that sum to V_j of each of the
     b generator sets in H (b, m, d), for 1 <= j <= min(m, d).
 
-    The minors of the (j-1)-subsets are streamed in colex chunks, each built
-    from all (j-2)-minors, and every chunk is wedged with all later
-    generators at once.
+    The (j-1)-subsets come in one block per largest element, in row slices
+    that keep every temporary within _CHUNK elements.  A term adds its squared
+    minors coordinate by coordinate, so no term depends on _CHUNK.
     """
     b, m, d = H.shape
     if j == 1:
@@ -256,20 +224,15 @@ def _volume_terms(H: np.ndarray, j: int):
     if d == 2:
         yield _planar_terms(H).T
         return
-    G = H.transpose(2, 1, 0).reshape(d * m, b)  # the 1-minors
-    lower = G
-    for t in range(2, j - 1):
-        lower = _wedge(lower, G, *_build_plan(d, m, t, 0, math.comb(m, t))).reshape(-1, b)
-    total = math.comb(m, j - 1)
-    step = max(1, _CHUNK // (j * math.comb(d, j) * m * b))
-    for s in range(0, total, step):
-        e = min(total, s + step)
-        if j == 2:
-            W = G.reshape(d, m, b)[:, s:e].reshape(-1, b)
-        else:
-            W = _wedge(lower, G, *_build_plan(d, m, j - 1, s, e)).reshape(-1, b)
-        X = _wedge(W, G, *_extend_plan(d, m, j - 1, s, e))
-        yield np.abs(X[0]) if j == d else np.sqrt(np.einsum("i...,i...->...", X, X))
+    G = np.ascontiguousarray(H.transpose(2, 1, 0))  # the 1-minors, (d, m, b)
+    lower = _minors(G, j - 2)
+    rows = max(1, _CHUNK // (j * math.comb(d, j) * m * b))
+    for l in range(j - 2, m - 1):
+        block = lower[:, : math.comb(l, j - 2)]
+        for s in range(0, block.shape[1], rows):
+            W = _wedge(block[:, s : s + rows], G[:, l : l + 1], j - 2)[:, :, 0]
+            X = _wedge(W, G[:, l + 1 :], j - 1).reshape(math.comb(d, j), -1, b)
+            yield np.abs(X[0]) if j == d else np.sqrt(sum(x * x for x in X))
 
 
 def intrinsic_volume(zonotope: Zonotope, j: int) -> float:
@@ -287,7 +250,7 @@ def intrinsic_volume(zonotope: Zonotope, j: int) -> float:
 
 
 def intrinsic_volume_of_generators(generators: np.ndarray, j: int) -> float:
-    """intrinsic_volume on a raw (m, d) generator array."""
+    """intrinsic_volume on a raw (m, d) generator array; OverflowError past float64."""
     if j < 0:
         raise ValueError("intrinsic volume order must be nonnegative")
     G = np.asarray(generators, dtype=float)
@@ -296,7 +259,14 @@ def intrinsic_volume_of_generators(generators: np.ndarray, j: int) -> float:
     if j > G.shape[1] or G.shape[0] < j:
         return 0.0
     terms = _volume_terms(G[None], j)
-    return math.fsum(itertools.chain.from_iterable(t.ravel().tolist() for t in terms))
+    with np.errstate(over="ignore", invalid="ignore"):  # inf and nan are caught below
+        try:
+            total = math.fsum(itertools.chain.from_iterable(t.ravel().tolist() for t in terms))
+        except OverflowError:  # finite terms, too large a sum
+            total = math.inf
+    if not math.isfinite(total):
+        raise OverflowError(f"computing V_{j} of these generators overflows float64")
+    return total
 
 
 def mc_intrinsic_volume(

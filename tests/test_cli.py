@@ -60,6 +60,20 @@ def run_to_file(args, out_path):
     return code, out_path.read_bytes()
 
 
+def overflow_error(tmp_path, monkeypatch, capsys, argv, rows):
+    """Run ``argv`` on ``rows`` as in.csv; it must exit 2 with one error
+    line and no file.  A leaked numpy warning fails the run: pytest turns
+    RuntimeWarning into an error."""
+    monkeypatch.chdir(tmp_path)
+    text = "".join(",".join(map(repr, row)) + "\n" for row in rows.tolist())
+    (tmp_path / "in.csv").write_text(text)
+    code = main(argv + ["--input", "in.csv", "--output", "out.json"])
+    err = capsys.readouterr().err
+    assert code == 2 and err.startswith("zonomed: error:") and err.count("\n") == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["in.csv"]
+    return err
+
+
 class TestMedianCommand:
     def test_triangle_centroid(self, tri_csv, tmp_path):
         out = tmp_path / "res.json"
@@ -112,6 +126,16 @@ class TestMedianCommand:
         payload = json.loads(raw)
         assert len(payload["trace"]) == payload["iterations"]
 
+    @pytest.mark.parametrize(
+        "j, shape, scale", [(4, (9, 4), 1e110), (2, (10, 3), 1e160)], ids=["volumes", "squares"]
+    )
+    def test_overflow_exit_2(self, tmp_path, monkeypatch, capsys, j, shape, scale):
+        # the face volumes w_S (j = 4) or the squared distances (1e160) pass
+        # float64; the solve used to drop every subset and return 0.0
+        points = np.random.default_rng(0).standard_normal(shape) * scale
+        argv = ["median", "--objective", "vj", "--j", str(j), "--seed", "1"]
+        assert "overflows float64" in overflow_error(tmp_path, monkeypatch, capsys, argv, points)
+
     def test_wills_objective(self, tri_csv, tmp_path):
         out = tmp_path / "res.json"
         code, raw = run_to_file(
@@ -140,6 +164,14 @@ class TestIntrinsicCommand:
         for j, exact in (("1", 5.0), ("2", 6.0)):
             est = payload["mc"][j]
             assert abs(est["estimate"] - exact) <= 4.0 * est["std_error"]
+
+    @pytest.mark.parametrize("scale", [1e102, 1e160], ids=["sum", "squares"])
+    def test_overflow_exit_2(self, tmp_path, monkeypatch, capsys, scale):
+        # at 1e102 the squared 2 x 2 minors pass float64 (and V_3's total
+        # would), at 1e160 the squared generator norms already do
+        gens = np.random.default_rng(0).standard_normal((40, 3)) * scale
+        err = overflow_error(tmp_path, monkeypatch, capsys, ["intrinsic"], gens)
+        assert "overflows float64" in err
 
     def test_mc_without_seed_rejected(self, gens_csv, tmp_path):
         code = main(["intrinsic", "--input", gens_csv, "--mc", "100"])
@@ -292,6 +324,15 @@ class TestEmpiricalCommand:
         assert code == 2
         assert "kd-tree" in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["in.csv"]
+
+    def test_overflow_names_the_quantities(self, tmp_path, monkeypatch, capsys):
+        # the mean squares and the residual variance pass float64
+        draws = np.random.default_rng(0).standard_normal((40, 3)) * 1e155
+        argv = ["empirical", "symmetrize", "--u", "1,0,0", "--method", "exact_linear"]
+        assert overflow_error(tmp_path, monkeypatch, capsys, argv, draws) == (
+            "zonomed: error: not finite, so not strict JSON: after_mean_square, "
+            "before_mean_square, decrease, regression_mean_square\n"
+        )
 
     def test_explore_one_draw_exit_2(self, tmp_path, capsys):
         path = tmp_path / "one.csv"

@@ -16,6 +16,7 @@ from zonomed import (
     unit_ball_volume,
     wills_functional,
 )
+from zonomed import zonotope
 from zonomed.zonotope import MonteCarloEstimate, intrinsic_volume_of_generators
 from conftest import random_zonotope, rotation_matrix, subset_volume_sum
 
@@ -296,12 +297,34 @@ def test_kernel_homogeneous(gens, k, s):
         assert abs(scaled - s**j * base) <= 1e-12 * s**j * _hadamard_bound(gens, j)
 
 
+@pytest.mark.parametrize("chunk", [zonotope._CHUNK, 1], ids=["default-chunk", "chunk-1"])
 @settings(max_examples=60, deadline=None)
 @given(gens=_generator_sets())
-def test_kernel_matches_svd_reference(gens):
-    for j in _orders(gens):
-        got = intrinsic_volume_of_generators(gens, j)
-        assert abs(got - subset_volume_sum(gens, j)) <= 1e-12 * _hadamard_bound(gens, j)
+def test_kernel_matches_svd_reference(gens, chunk):
+    # at the default block size these sets (m <= 9) fit in one block per
+    # largest element; at 1 every subset is a block of its own
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(zonotope, "_CHUNK", chunk)
+        for j in _orders(gens):
+            got = intrinsic_volume_of_generators(gens, j)
+            assert abs(got - subset_volume_sum(gens, j)) <= 1e-12 * _hadamard_bound(gens, j)
+
+
+@pytest.mark.parametrize(
+    "gens",
+    [np.random.default_rng(d).standard_normal((16, d)) for d in (3, 4, 5, 6)]
+    # V_4 read 145.86220201960646 at the default block size, ...643 at 1
+    + [np.random.default_rng(3).standard_normal((6, 5))],
+    ids=["d3", "d4", "d5", "d6", "rng3-6x5"],
+)
+def test_volumes_do_not_depend_on_chunk(monkeypatch, gens):
+    def volumes(chunk):
+        monkeypatch.setattr(zonotope, "_CHUNK", chunk)
+        return [intrinsic_volume_of_generators(gens, j) for j in _orders(gens)]
+
+    default = volumes(zonotope._CHUNK)
+    assert volumes(1) == default
+    assert volumes(1 << 30) == default
 
 
 @settings(max_examples=60, deadline=None)
