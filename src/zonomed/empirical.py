@@ -394,6 +394,15 @@ def _symmetry_statistic(draws: np.ndarray) -> float:
     return float(np.abs(m_pos + m_neg).max())
 
 
+def _covariance(draws: np.ndarray, when: str) -> np.ndarray:
+    """Sample covariance of finite draws; ValueError where it overflows."""
+    with np.errstate(over="ignore", invalid="ignore"):  # caught below
+        cov = np.atleast_2d(np.cov(draws, rowvar=False))
+    if not np.all(np.isfinite(cov)):
+        raise ValueError(f"the sample covariance {when} overflows float64")
+    return cov
+
+
 def conjecture_explorer(
     sample: EmpiricalSample,
     steps: int,
@@ -420,7 +429,7 @@ def conjecture_explorer(
     rng = np.random.default_rng(seed)
     d = sample.dim
     if direction_policy == "max_anisotropy":
-        _, vecs = np.linalg.eigh(np.atleast_2d(np.cov(sample.draws, rowvar=False)))
+        _, vecs = np.linalg.eigh(_covariance(sample.draws, "of the input"))
     reports: list[IsotropyReport] = []
     for step in range(1, steps + 1):
         if direction_policy == "random_seeded":
@@ -432,7 +441,7 @@ def conjecture_explorer(
             u = _bisector(vecs, 0, d - 1)
         reduction = norm_reduction_check(sample, u, cfg)
         sample = reduction.symmetrized
-        eigs, vecs = np.linalg.eigh(np.atleast_2d(np.cov(sample.draws, rowvar=False)))
+        eigs, vecs = np.linalg.eigh(_covariance(sample.draws, f"after step {step}"))
         reports.append(
             IsotropyReport(
                 step=step,

@@ -25,9 +25,11 @@ j-volume of the parallelepiped G_S spans.  One kernel computes it:
 Minors keep the accuracy of the generators themselves: a zonotope 1e-7 thin
 in one direction, or generators 1e-6 apart in angle, lose no more digits
 than the problem's own conditioning costs, unlike sqrt(det(G_S' G_S)),
-which squares the condition number.  Exact totals are rounded once by
-math.fsum, and the Monte Carlo estimator applies the same kernel to the
-projected generators of a whole batch of samples at once.
+which squares the condition number.  An exact total is the correctly
+rounded sum of its terms: extraction (Rump, Ogita & Oishi 2008) compresses
+each buffer of terms, with no error, into a few partial sums, and math.fsum
+rounds the sum of those once.  The Monte Carlo estimator applies the same
+kernel to the projected generators of a whole batch of samples at once.
 """
 
 from __future__ import annotations
@@ -42,6 +44,10 @@ import numpy as np
 # Elements per temporary array of the subset-volume kernel; larger problems
 # are streamed through it in slices.  Exact results do not depend on it.
 _CHUNK = 1 << 16
+
+# Exact V_j rescales generators whose max|g|^j lies outside 2^(+-_SAFE_EXPONENT),
+# so that squared j-minors (up to about j^j max|g|^(2j)) stay finite and normal.
+_SAFE_EXPONENT = 448
 
 
 @dataclass
@@ -196,14 +202,21 @@ def _minors(G: np.ndarray, t: int) -> np.ndarray:
 def _planar_terms(H: np.ndarray) -> np.ndarray:
     """Terms max(P_{k-1} x g_k, 0) of V_2 for (b, m, 2) planar generator sets.
 
-    Sorting on (angle, x, y) puts tied angles in a fixed order, so the
-    result depends on the multiset of generators only.
+    Each row is put in (angle, x, y) order, so tied angles come in a fixed
+    order and the result depends on the multiset of generators only: one
+    argsort of the angles orders every row, and the rows where two sorted
+    angles are equal are sorted again by all three keys.
     """
     x, y = H[..., 0], H[..., 1]
     flip = (y < 0.0) | ((y == 0.0) & (x < 0.0))
     H = np.where(flip[..., None], -H, H)
     x, y = H[..., 0], H[..., 1]
-    order = np.lexsort((y, x, np.arctan2(y, x)), axis=-1)
+    angle = np.arctan2(y, x)
+    order = np.argsort(angle, axis=-1)
+    sorted_angle = np.take_along_axis(angle, order, axis=-1)
+    tied = (sorted_angle[:, 1:] == sorted_angle[:, :-1]).any(axis=-1)
+    if tied.any():
+        order[tied] = np.lexsort((y[tied], x[tied], angle[tied]), axis=-1)
     H = H[np.arange(len(H))[:, None], order]
     P = np.cumsum(H[:, :-1], axis=1)
     return np.maximum(P[..., 0] * H[:, 1:, 1] - P[..., 1] * H[:, 1:, 0], 0.0)
@@ -250,7 +263,15 @@ def intrinsic_volume(zonotope: Zonotope, j: int) -> float:
 
 
 def intrinsic_volume_of_generators(generators: np.ndarray, j: int) -> float:
-    """intrinsic_volume on a raw (m, d) generator array; OverflowError past float64."""
+    """intrinsic_volume on a raw (m, d) generator array; OverflowError past float64.
+
+    The kernel squares j-minors, so generators whose j-th power of max|g|
+    leaves 2^(+-_SAFE_EXPONENT) are first scaled by a power of two 2^-t, and
+    V_j is ldexp(V_j(2^-t G), j t).  Power-of-two scaling is exact and every
+    step of the kernel is homogeneous, so a result can change only where a
+    term over- or underflows without the scaling, or a coordinate more than
+    2^1000 below max|g| underflows with it.
+    """
     if j < 0:
         raise ValueError("intrinsic volume order must be nonnegative")
     G = np.asarray(generators, dtype=float)
@@ -258,15 +279,74 @@ def intrinsic_volume_of_generators(generators: np.ndarray, j: int) -> float:
         return 1.0
     if j > G.shape[1] or G.shape[0] < j:
         return 0.0
-    terms = _volume_terms(G[None], j)
+    e = math.frexp(float(np.max(np.abs(G))))[1]
+    t = 0
+    if j * e > _SAFE_EXPONENT:  # down to the edge of the range, no further
+        t = e - _SAFE_EXPONENT // j
+    elif j * e < -_SAFE_EXPONENT:  # up to order 1, where nothing can overflow
+        t = e
+    if t:
+        G = np.ldexp(G, -t)
     with np.errstate(over="ignore", invalid="ignore"):  # inf and nan are caught below
         try:
-            total = math.fsum(itertools.chain.from_iterable(t.ravel().tolist() for t in terms))
+            total = math.ldexp(_exact_sum(_volume_terms(G[None], j)), j * t)
         except OverflowError:  # finite terms, too large a sum
             total = math.inf
     if not math.isfinite(total):
         raise OverflowError(f"computing V_{j} of these generators overflows float64")
     return total
+
+
+def _exact_sum(blocks) -> float:
+    """math.fsum of every term of the arrays ``blocks``, bit for bit.
+
+    The terms pass through buffers of at most _CHUNK terms (or one block),
+    each compressed by _extract into a few floats with the same exact sum;
+    math.fsum rounds the sum of those once.  No array holds every term.
+    """
+    partials: list[float] = []
+    pending: list[np.ndarray] = []
+    size = 0
+    for block in blocks:
+        if pending and size + block.size > _CHUNK:
+            _extract(np.concatenate(pending), partials)
+            pending, size = [], 0
+        pending.append(block.ravel())
+        size += block.size
+    if pending:
+        _extract(np.concatenate(pending), partials)
+    return math.fsum(partials)
+
+
+def _extract(a: np.ndarray, partials: list[float]) -> None:
+    """Append to ``partials`` floats whose exact sum is that of ``a`` (which
+    is overwritten).
+
+    Extraction (Rump, Ogita & Oishi, SIAM J. Sci. Comput. 31, 2008): with
+    max|a| < 2^e and 2^k >= n + 2, sigma = 2^(e+k) splits every term
+    exactly into q = (sigma + a) - sigma, a multiple of 2^(e+k-53), and
+    a - q.  Every partial sum of the q is such a multiple below sigma, so
+    q.sum() is exact in any order.  The nonzero remainders are split again
+    until a few dozen are left, or until sigma would overflow, 2^(e+k-53)
+    would be subnormal, or a term is inf or nan; those are appended as they
+    are.
+    """
+    while a.size > 32:
+        top = float(np.max(np.abs(a)))
+        if top == 0.0:
+            return
+        if not math.isfinite(top):
+            break
+        e = math.frexp(top)[1] + (a.size + 1).bit_length()
+        if not -969 <= e <= 1023:
+            break
+        sigma = math.ldexp(1.0, e)
+        q = a + sigma
+        q -= sigma
+        partials.append(float(q.sum()))
+        a -= q
+        a = a[a != 0.0]
+    partials.extend(a.tolist())
 
 
 def mc_intrinsic_volume(

@@ -165,13 +165,13 @@ class TestIntrinsicCommand:
             est = payload["mc"][j]
             assert abs(est["estimate"] - exact) <= 4.0 * est["std_error"]
 
-    @pytest.mark.parametrize("scale", [1e102, 1e160], ids=["sum", "squares"])
-    def test_overflow_exit_2(self, tmp_path, monkeypatch, capsys, scale):
-        # at 1e102 the squared 2 x 2 minors pass float64 (and V_3's total
-        # would), at 1e160 the squared generator norms already do
+    @pytest.mark.parametrize("scale, j", [(1e102, 3), (1e160, 2)], ids=["sum", "squares"])
+    def test_overflow_exit_2(self, tmp_path, monkeypatch, capsys, scale, j):
+        # the first V_j past float64 is named: V_3 (about 1e310) at 1e102,
+        # although the squared 2 x 2 minors already pass it, and V_2 at 1e160
         gens = np.random.default_rng(0).standard_normal((40, 3)) * scale
         err = overflow_error(tmp_path, monkeypatch, capsys, ["intrinsic"], gens)
-        assert "overflows float64" in err
+        assert f"computing V_{j} of these generators overflows float64" in err
 
     def test_mc_without_seed_rejected(self, gens_csv, tmp_path):
         code = main(["intrinsic", "--input", gens_csv, "--mc", "100"])
@@ -332,6 +332,14 @@ class TestEmpiricalCommand:
         assert overflow_error(tmp_path, monkeypatch, capsys, argv, draws) == (
             "zonomed: error: not finite, so not strict JSON: after_mean_square, "
             "before_mean_square, decrease, regression_mean_square\n"
+        )
+
+    def test_explore_covariance_overflow_exit_2(self, tmp_path, monkeypatch, capsys):
+        # the symmetrized draws' covariance passes float64 in np.cov
+        draws = np.random.default_rng(0).standard_normal((40, 3)) * 1e155
+        argv = ["empirical", "explore", "--method", "exact_linear", "--steps", "2", "--seed", "1"]
+        assert overflow_error(tmp_path, monkeypatch, capsys, argv, draws) == (
+            "zonomed: error: the sample covariance after step 1 overflows float64\n"
         )
 
     def test_explore_one_draw_exit_2(self, tmp_path, capsys):

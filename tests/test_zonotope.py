@@ -333,3 +333,125 @@ def test_planar_prefix_sum_matches_pairs(gens):
     pairs = [abs(a[0] * b[1] - a[1] * b[0]) for a, b in itertools.combinations(gens.tolist(), 2)]
     got = intrinsic_volume_of_generators(gens, 2)
     assert abs(got - math.fsum(pairs)) <= 1e-12 * _hadamard_bound(gens, 2)
+
+
+@st.composite
+def _scaled_generator_sets(draw):
+    """Sets in d = 2-6 at a scale between 1e-150 and 1e150, row scales up to
+    e^+-30, with zero generators and repeated rows."""
+    d = draw(st.integers(2, 6))
+    m = draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    gens = rng.standard_normal((m, d)) * 10.0 ** draw(st.floats(-150.0, 150.0))
+    if draw(st.booleans()):
+        gens *= np.exp(rng.uniform(-30.0, 30.0, (m, 1)))
+    gens[rng.random(m) < draw(st.sampled_from([0.0, 0.2]))] = 0.0
+    repeats = rng.integers(0, m, draw(st.integers(0, 3)))
+    return np.vstack([gens, gens[repeats]])
+
+
+@settings(max_examples=150, deadline=None)
+@given(gens=_scaled_generator_sets(), chunk=st.sampled_from([zonotope._CHUNK, 40]))
+def test_exact_sum_is_fsum_of_the_terms(gens, chunk):
+    # at a block size of 40 most sets pass through several buffers
+    with pytest.MonkeyPatch.context() as mp, np.errstate(over="ignore", invalid="ignore"):
+        mp.setattr(zonotope, "_CHUNK", chunk)
+        for j in range(1, min(gens.shape) + 1):
+            terms = list(zonotope._volume_terms(gens[None], j))
+            try:
+                expected = math.fsum(itertools.chain.from_iterable(t.ravel().tolist() for t in terms))
+            except OverflowError:
+                with pytest.raises(OverflowError):
+                    zonotope._exact_sum(terms)
+                continue
+            got = zonotope._exact_sum(terms)
+            assert got == expected or (math.isnan(got) and math.isnan(expected))
+
+
+_term = st.one_of(
+    st.floats(0.0, 1e308, allow_subnormal=True),
+    st.sampled_from([0.0, 5e-324, 2.0**-1022, 1.7e308, math.inf]),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(values=st.lists(_term, max_size=200))
+def test_extract_keeps_the_exact_sum(values):
+    # subnormal, overflowing and infinite terms take the float path
+    partials = []
+    zonotope._extract(np.array(values, dtype=float), partials)
+    try:
+        expected = math.fsum(values)
+    except OverflowError:
+        with pytest.raises(OverflowError):
+            math.fsum(partials)
+        return
+    assert math.fsum(partials) == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(gens=_generator_sets(), s=st.integers(-600, 600))
+def test_kernel_power_of_two_scaling_is_exact(gens, s):
+    # generators far from order 1 are rescaled by a power of two first, so
+    # V_j(2^s G) is the once-rounded 2^(j s) V_j(G) even where the squared
+    # minors of 2^s G would leave float64
+    for j in _orders(gens):
+        try:
+            expected = math.ldexp(intrinsic_volume_of_generators(gens, j), j * s)
+        except OverflowError:
+            with pytest.raises(OverflowError):
+                intrinsic_volume_of_generators(2.0**s * gens, j)
+            continue
+        assert intrinsic_volume_of_generators(2.0**s * gens, j) == expected
+
+
+def test_large_generators_overflow_only_past_float64():
+    # the squared 2 x 2 minors of these pass float64, V_2 (about 1e206) does
+    # not; V_3 (about 1e310) does
+    gens = np.random.default_rng(0).standard_normal((40, 3)) * 1e102
+    v2 = intrinsic_volume_of_generators(gens, 2)
+    assert math.isfinite(v2)
+    assert v2 == pytest.approx(subset_volume_sum(gens, 2), rel=1e-12)
+    with pytest.raises(OverflowError, match="V_3"):
+        intrinsic_volume_of_generators(gens, 3)
+
+
+def _lexsort_planar_terms(H):
+    """_planar_terms with every row sorted on (angle, x, y) by np.lexsort."""
+    x, y = H[..., 0], H[..., 1]
+    flip = (y < 0.0) | ((y == 0.0) & (x < 0.0))
+    H = np.where(flip[..., None], -H, H)
+    x, y = H[..., 0], H[..., 1]
+    order = np.lexsort((y, x, np.arctan2(y, x)), axis=-1)
+    H = H[np.arange(len(H))[:, None], order]
+    P = np.cumsum(H[:, :-1], axis=1)
+    return np.maximum(P[..., 0] * H[:, 1:, 1] - P[..., 1] * H[:, 1:, 0], 0.0)
+
+
+def _tied_grid_set(rng, m):
+    """Integer-grid generators with repeated, antiparallel and zero rows."""
+    gens = rng.integers(-3, 4, (m, 2)).astype(float)
+    picks = rng.integers(0, m, 3)
+    return np.vstack([gens, gens[picks[:2]], -gens[picks[2:]], np.zeros((1, 2))])
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 12), b=st.sampled_from([1, 6]))
+def test_planar_order_matches_lexsort(seed, m, b):
+    # in a batch, tied grid sets sit next to untied Gaussian ones
+    rng = np.random.default_rng(seed)
+    sets = [_tied_grid_set(rng, m) if rng.random() < 0.5 else rng.standard_normal((m + 4, 2))
+            for _ in range(b)]
+    H = np.stack(sets)
+    np.testing.assert_array_equal(zonotope._planar_terms(H), _lexsort_planar_terms(H))
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_mc_planar_order_matches_lexsort(monkeypatch, d):
+    rng = np.random.default_rng(d)
+    gens = rng.integers(-2, 3, (30, d)).astype(float)
+    gens = np.vstack([gens, gens[:6], -gens[6:12], 2.0 * gens[12:15], np.zeros((2, d))])
+    z = Zonotope(gens)
+    got = mc_intrinsic_volume(z, 2, 3000, seed=d)
+    monkeypatch.setattr(zonotope, "_planar_terms", _lexsort_planar_terms)
+    assert mc_intrinsic_volume(z, 2, 3000, seed=d) == got
