@@ -7,6 +7,7 @@ included), 3 solver did not converge (the result is still written).
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import os
@@ -40,6 +41,8 @@ from .zonotope import Zonotope, intrinsic_volume, mc_intrinsic_volume, wills_fun
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_NO_CONVERGENCE = 3
+# Values per block of the output sample; a block's floats and text are 1 MB.
+_SAMPLE_VALUES = 2**14
 
 
 def _is_number(field: str) -> bool:
@@ -55,19 +58,24 @@ def _read_csv(path: str) -> np.ndarray:
     its fields is a number; it must have as many fields as the data rows.
 
     Blank lines are skipped and spaces around fields are allowed.  ``#`` does
-    not start a comment: a data row that holds one is malformed.
+    not start a comment: a data row that holds one is malformed.  The lines
+    stream into ``np.loadtxt``, so only the array is held.
     """
     with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln for ln in map(str.strip, fh) if ln]
-    if not lines:
-        raise ValueError(f"{path}: empty file")
-    widths = {ln.count(",") + 1 for ln in lines}
-    if len(widths) != 1:
-        raise ValueError(f"{path}: ragged rows (widths {sorted(widths)})")
-    rows = lines if any(map(_is_number, lines[0].split(","))) else lines[1:]
-    if not rows:
-        raise ValueError(f"{path}: no data rows")
-    return np.loadtxt(rows, delimiter=",", ndmin=2, comments=None)
+        lines = (ln for ln in map(str.strip, fh) if ln)
+        first = next(lines, None)
+        if first is None:
+            raise ValueError(f"{path}: empty file")
+        if not any(map(_is_number, first.split(","))):
+            header, first = first, next(lines, None)
+            if first is None:
+                raise ValueError(f"{path}: no data rows")
+            if header.count(",") != first.count(","):
+                raise ValueError(f"{path}: the header and the first data row differ in width")
+        try:
+            return np.loadtxt(itertools.chain((first,), lines), delimiter=",", ndmin=2, comments=None)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
 
 
 def _parse_vector(text: str) -> np.ndarray:
@@ -78,15 +86,16 @@ def _parse_vector(text: str) -> np.ndarray:
     return vec / norm
 
 
-def _write_output(text: str, path: str) -> None:
+def _write_output(chunks, path: str) -> None:
+    """Write an iterable of strings to path, atomically, or to stdout for "-"."""
     if path == "-":
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
         return
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".zonomed-")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -130,7 +139,7 @@ def _cmd_median(args) -> int:
     payload = dict(asdict(result), config=_config(args))
     if not args.emit_trace:
         del payload["trace"]
-    _write_output(_dumps(payload), args.output)
+    _write_output([_dumps(payload)], args.output)
     return EXIT_OK if result.converged else EXIT_NO_CONVERGENCE
 
 
@@ -151,7 +160,7 @@ def _cmd_intrinsic(args) -> int:
         for j in range(1, d + 1):
             est = mc_intrinsic_volume(zono, j, args.mc, args.seed + j)
             payload["mc"][str(j)] = {"estimate": est.estimate, "std_error": est.std_error}
-    _write_output(_dumps(payload), args.output)
+    _write_output([_dumps(payload)], args.output)
     return EXIT_OK
 
 
@@ -170,7 +179,7 @@ def _cmd_gauss(args) -> int:
         converged=trace.converged,
         trace=[asdict(step) for step in trace.steps],
     )
-    _write_output(_dumps(payload), args.output)
+    _write_output([_dumps(payload)], args.output)
     return EXIT_OK if trace.converged else EXIT_NO_CONVERGENCE
 
 
@@ -193,8 +202,10 @@ def _cmd_symmetrize(args) -> int:
     if args.output_sample:
         draws = reduction.symmetrized.draws
         row = ",".join(["%r"] * draws.shape[1]) + "\n"
-        _write_output(row * draws.shape[0] % tuple(draws.ravel().tolist()), args.output_sample)
-    _write_output(text, args.output)
+        step = max(1, _SAMPLE_VALUES // draws.shape[1])
+        blocks = (draws[lo:lo + step] for lo in range(0, len(draws), step))
+        _write_output((row * len(b) % tuple(b.ravel().tolist()) for b in blocks), args.output_sample)
+    _write_output([text], args.output)
     return EXIT_OK
 
 
@@ -205,7 +216,7 @@ def _cmd_theorem1(args) -> int:
     report = theorem1_check(
         poly, _parse_vector(args.u), args.n, cfg, seed=args.seed, delta=args.delta
     )
-    _write_output(_dumps(dict(asdict(report), config=_config(args))), args.output)
+    _write_output([_dumps(dict(asdict(report), config=_config(args)))], args.output)
     return EXIT_OK
 
 
@@ -215,8 +226,7 @@ def _cmd_explore(args) -> int:
     reports = conjecture_explorer(
         sample, args.steps, direction_policy=args.policy, cfg=cfg, seed=args.seed
     )
-    lines = [_dumps(dict(asdict(rep), config=_config(args))) for rep in reports]
-    _write_output("".join(lines), args.output)
+    _write_output([_dumps(dict(asdict(rep), config=_config(args))) for rep in reports], args.output)
     return EXIT_OK
 
 

@@ -31,8 +31,9 @@ from .polygon import (
     polygon_area,
 )
 
-# Neighbours per kd-tree query block: 2**20 int64 indices and 2**20 float64
-# distances are 16 MB.
+# Neighbours per kd-tree query block: a block holds float64 distances and int64
+# indices, then the indices and the gathered u'X, so 16 MB.  2**19 held 8 MB
+# but made the perfbench symmetrize jobs 4-8% slower (2 vCPUs).
 _QUERY_NEIGHBOURS = 2**20
 
 
@@ -172,8 +173,9 @@ def _conditional_mean(sample: EmpiricalSample, u: np.ndarray, cfg: RegressorConf
     workers = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else -1
     m_hat = np.empty(sample.n)
     for start in range(0, sample.n, rows):
-        _, idx = tree.query(p[start:start + rows], k=k, workers=workers)
+        idx = tree.query(p[start:start + rows], k=k, workers=workers)[1]
         m_hat[start:start + rows] = y[idx.reshape(-1, k)].mean(axis=1)
+        del idx  # not held through the next block's query
     return m_hat
 
 

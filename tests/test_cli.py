@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import zonomed
-from zonomed import empirical
+from zonomed import cli, empirical
 from zonomed.cli import _read_csv, main
 from zonomed.empirical import EmpiricalSample, RegressorConfig, symmetrize_sample
 
@@ -560,18 +560,34 @@ class TestCsvReader:
         assert got.shape == np.shape(expected)
         assert got.tobytes() == _old_read_csv(str(path)).tobytes()
 
+    def test_long_file(self, tmp_path):
+        # longer than np.loadtxt's 50 000-line chunk, with a header and with
+        # blank and whitespace-only lines around that boundary
+        rows = np.random.default_rng(9).standard_normal((60_000, 3))
+        lines = [",".join(map(repr, row)) for row in rows.tolist()]
+        for at in (50_002, 50_001, 50_000, 49_999):
+            lines.insert(at, " \t " if at % 2 else "")
+        path = tmp_path / "long.csv"
+        path.write_text("a,b,c\n" + "\n".join(lines) + "\n")
+        got = _read_csv(str(path))
+        assert got.shape == (60_000, 3)
+        assert got.tobytes() == _old_read_csv(str(path)).tobytes() == rows.tobytes()
+
+    # a warning, such as numpy's "input contained no data", is an error here
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize(
         "text",
-        ["1,2\n3\n4,5\n", "1,2\n3,4 # note\n", "", "\n \n", "x,y\n", "1_0,2\n3,4\n",
-         "1,2x\n3,4\n", "# note\n1,2\n", "x,y\n1,2,3\n"],
-        ids=["ragged", "trailing-comment", "empty", "blank-only", "header-only", "underscore",
-             "first-row-typo", "leading-comment", "header-width"],
+        ["1,2\n3\n4,5\n", "1,2\n3,4 # note\n", "", "\n \n", "x,y\n", "x,y\n\n \n",
+         "1_0,2\n3,4\n", "1,2x\n3,4\n", "# note\n1,2\n", "x,y\n1,2,3\n", "x,y\n1,2\n3,4,5\n"],
+        ids=["ragged", "trailing-comment", "empty", "blank-only", "header-only", "header-blanks",
+             "underscore", "first-row-typo", "leading-comment", "header-width", "ragged-after-header"],
     )
     def test_malformed_exit_2(self, tmp_path, capsys, text):
         path = tmp_path / "bad.csv"
         path.write_text(text)
         assert main(["intrinsic", "--input", str(path)]) == 2
-        assert "zonomed: error:" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith(f"zonomed: error: {path}: ") and err.count("\n") == 1
 
     def test_output_sample_bytes(self, tmp_path):
         # u = e_2 leaves the first coordinate as read, so the extreme values
@@ -595,6 +611,29 @@ class TestCsvReader:
         assert out_csv.read_bytes() == expected.encode()
         text = out_csv.read_text()
         assert "\n5e-324," in text and "\n1e+150," in text
+
+    @pytest.mark.parametrize("to_stdout", [False, True], ids=["file", "stdout"])
+    @pytest.mark.parametrize("extra", [-1, 0, 1], ids=["block-1", "block", "block+1"])
+    def test_output_sample_blocks(self, tmp_path, capsys, extra, to_stdout):
+        # the sample is written a block of rows at a time; the bytes are the
+        # whole sample's %r rendering in one piece
+        n = cli._SAMPLE_VALUES // 3 + extra
+        draws = np.random.default_rng(6).standard_normal((n, 3))
+        src = tmp_path / "in.csv"
+        src.write_text("".join(",".join(map(repr, row)) + "\n" for row in draws.tolist()))
+        out_csv = "-" if to_stdout else str(tmp_path / "sym.csv")
+        code = main(
+            ["empirical", "symmetrize", "--input", str(src), "--u", "0,0,1",
+             "--method", "exact_linear", "--output-sample", out_csv,
+             "--output", str(tmp_path / "report.json")]
+        )
+        assert code == 0
+        shifted = symmetrize_sample(
+            EmpiricalSample(draws), [0.0, 0.0, 1.0], RegressorConfig("exact_linear")
+        ).draws
+        expected = "%r,%r,%r\n" * n % tuple(shifted.ravel().tolist())
+        got = capsys.readouterr().out if to_stdout else (tmp_path / "sym.csv").read_text()
+        assert got == expected
 
 
 def _fresh_interpreter(code: str, cwd: Path) -> dict:

@@ -16,6 +16,7 @@ from zonomed import (
     wills_mc_check,
     zonotope_polygon_2d,
 )
+from zonomed import polygon
 from zonomed.polygon import clip_polygon_to_rect, polygon_area
 from conftest import random_zonotope
 
@@ -116,6 +117,19 @@ class TestDistance:
         batch = distances_to_polygon(pts, self.square)
         singles = [distances_to_polygon(p, self.square)[0] for p in pts]
         np.testing.assert_allclose(batch, singles, atol=1e-14)
+
+    def test_distances_do_not_depend_on_block(self, monkeypatch):
+        rng = np.random.default_rng(6)
+        poly = zonotope_polygon_2d(random_zonotope(rng, 2, 5))
+        pts = rng.uniform(-4.0, 4.0, size=(3000, 2))
+
+        def distances(elements):
+            monkeypatch.setattr(polygon, "_DISTANCE_ELEMENTS", elements)
+            return distances_to_polygon(pts, poly).tobytes()
+
+        default = distances(polygon._DISTANCE_ELEMENTS)
+        assert distances(1) == default
+        assert distances(2 * len(poly.vertices) * len(pts)) == default
 
 
 class TestWillsIntegral:
