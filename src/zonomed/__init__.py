@@ -29,7 +29,6 @@ from .empirical import (
 from .errors import (
     DegenerateCloudError,
     DegeneratePolygonError,
-    DivergentPolarError,
     FlatZonotopeError,
     ZonomedError,
 )
@@ -50,7 +49,6 @@ from .medians import (
     SolverOptions,
     grid_oracle,
     polar_median,
-    polar_objective,
     v1_median,
     vd_median,
     vj_median,

@@ -58,8 +58,9 @@ def _read_csv(path: str) -> np.ndarray:
     its fields is a number; it must have as many fields as the data rows.
 
     Blank lines are skipped and spaces around fields are allowed.  ``#`` does
-    not start a comment: a data row that holds one is malformed.  The lines
-    stream into ``np.loadtxt``, so only the array is held.
+    not start a comment: a data row that holds one is malformed, and the
+    error names its line in the file.  The lines stream into ``np.loadtxt``,
+    so only the array is held.
     """
     with open(path, "r", encoding="utf-8") as fh:
         lines = (ln for ln in map(str.strip, fh) if ln)
@@ -75,7 +76,28 @@ def _read_csv(path: str) -> np.ndarray:
         try:
             return np.loadtxt(itertools.chain((first,), lines), delimiter=",", ndmin=2, comments=None)
         except ValueError as exc:
-            raise ValueError(f"{path}: {exc}") from None
+            raise ValueError(f"{path}: {_bad_row(path) or exc}") from None
+
+
+def _bad_row(path: str) -> str | None:
+    """Why the first malformed data row of a CSV fails, with its 1-based line
+    in the file (header and blank lines counted).  Runs only once the reader
+    has failed, so the file is read a second time."""
+    with open(path, "r", encoding="utf-8") as fh:
+        rows = ((no, ln.split(",")) for no, ln in enumerate(map(str.strip, fh), 1) if ln)
+        no, fields = next(rows)
+        if not any(map(_is_number, fields)):
+            no, fields = next(rows)
+        width = len(fields)
+        for no, fields in itertools.chain(((no, fields),), rows):
+            if len(fields) != width:
+                return f"line {no}: {len(fields)} field{'s' * (len(fields) != 1)}, expected {width}"
+            for f in map(str.strip, fields):
+                # np.loadtxt, unlike float(), refuses digit separators and
+                # non-ASCII digits
+                if "_" in f or not f.isascii() or not _is_number(f):
+                    return f"line {no}: {f!r} is not a number"
+    return None
 
 
 def _parse_vector(text: str) -> np.ndarray:
@@ -103,17 +125,29 @@ def _write_output(chunks, path: str) -> None:
         raise
 
 
+def _non_finite(value, path: str = "") -> list[str]:
+    """The paths of the non-finite numbers in a payload, such as ``trace[0].det``."""
+    if hasattr(value, "tolist"):
+        value = value.tolist()
+    if isinstance(value, float):
+        return [] if math.isfinite(value) else [path]
+    if isinstance(value, dict):
+        return [p for k in sorted(value) for p in _non_finite(value[k], f"{path}.{k}" if path else k)]
+    if isinstance(value, (list, tuple)):
+        return [p for i, v in enumerate(value) for p in _non_finite(v, f"{path}[{i}]")]
+    return []
+
+
 def _dumps(payload: dict) -> str:
     """Strict JSON, one line; a non-finite value raises ValueError, which
-    names the top-level numbers that are not finite."""
+    names each number that is not finite by its path."""
     try:
         return json.dumps(
             payload, sort_keys=True, separators=(",", ":"), allow_nan=False,
             default=lambda o: o.tolist(),
         ) + "\n"
     except ValueError:
-        bad = [k for k, v in payload.items() if isinstance(v, float) and not math.isfinite(v)]
-        names = ", ".join(sorted(bad)) or "a nested value"
+        names = ", ".join(_non_finite(payload))
         raise ValueError(f"not finite, so not strict JSON: {names}") from None
 
 

@@ -35,6 +35,8 @@ from .polygon import (
 # indices, then the indices and the gathered u'X, so 16 MB.  2**19 held 8 MB
 # but made the perfbench symmetrize jobs 4-8% slower (2 vCPUs).
 _QUERY_NEIGHBOURS = 2**20
+# Cells per axis of the theorem-1 chi-square test over the symmetral's box.
+_CHI_SQUARE_GRID = 8
 
 
 def __getattr__(name):
@@ -296,15 +298,15 @@ def theorem1_check(
     cfg: RegressorConfig | None = None,
     seed: int = 0,
     delta: float | None = None,
-    grid: int = 8,
 ) -> Theorem1Report:
     """Probe the classical-symmetral law on a uniform polygon sample.
 
     Draws uniformly on the polygon, symmetrizes the sample, and compares
     against the exact symmetral: the fraction of draws within ``delta`` of
     the symmetral (default 3 diam / sqrt(k)), a chi-square uniformity
-    statistic over grid cells clipped to the symmetral, and the exact area
-    match.  This reports; it does not assert.
+    statistic over the _CHI_SQUARE_GRID x _CHI_SQUARE_GRID (8 x 8) cells of
+    the symmetral's bounding box, each clipped to the symmetral, and the
+    exact area match.  This reports; it does not assert.
     """
     u = _check_unit(u)
     cfg = cfg or RegressorConfig()
@@ -316,7 +318,7 @@ def theorem1_check(
         delta = 3.0 * poly.diameter / math.sqrt(k)
     dist = distances_to_polygon(symmetrized.draws, symmetral)
     inside_fraction = float(np.mean(dist <= delta))
-    chi_square, dof = _chi_square_uniformity(symmetrized.draws, symmetral, grid)
+    chi_square, dof = _chi_square_uniformity(symmetrized.draws, symmetral)
     area_p = poly.area
     area_s = symmetral.area
     return Theorem1Report(
@@ -331,17 +333,17 @@ def theorem1_check(
     )
 
 
-def _chi_square_uniformity(points: np.ndarray, poly: ConvexPolygon2D, grid: int):
+def _chi_square_uniformity(points: np.ndarray, poly: ConvexPolygon2D):
     (xmin, xmax), (ymin, ymax) = poly.bounding_box()
-    xs = np.linspace(xmin, xmax, grid + 1)
-    ys = np.linspace(ymin, ymax, grid + 1)
+    xs = np.linspace(xmin, xmax, _CHI_SQUARE_GRID + 1)
+    ys = np.linspace(ymin, ymax, _CHI_SQUARE_GRID + 1)
     counts, _, _ = np.histogram2d(points[:, 0], points[:, 1], bins=[xs, ys])
     total_area = poly.area
     n = len(points)
     chi = 0.0
     dof = 0
-    for i in range(grid):
-        for jj in range(grid):
+    for i in range(_CHI_SQUARE_GRID):
+        for jj in range(_CHI_SQUARE_GRID):
             cell = clip_polygon_to_rect(poly.vertices, xs[i], xs[i + 1], ys[jj], ys[jj + 1])
             expected = n * polygon_area(cell) / total_area
             if expected >= 5.0:

@@ -13,9 +13,5 @@ class DegenerateCloudError(ZonomedError):
     """Point cloud lies in a flat too thin for the requested objective."""
 
 
-class DivergentPolarError(ZonomedError):
-    """Polar-volume integrand is non-integrable (generators do not span R^d)."""
-
-
 class DegeneratePolygonError(ZonomedError):
     """Polygon has (numerically) zero area."""

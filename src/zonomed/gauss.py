@@ -220,9 +220,11 @@ def sphere_iterate(
         state = symmetrize_gaussian(state, u)
         before = eigs
         eigs, vecs = np.linalg.eigh(state.cov)
+        with np.errstate(over="ignore"):  # a det past float64 is inf; the CLI names it
+            det = float(np.prod(eigs))
         trace.steps.append(SymmetrizationStep(
             kind=kind, direction=u, eigenvalues_before=before, eigenvalues_after=eigs,
-            det=float(np.prod(eigs)), trace=float(np.trace(state.cov)),
+            det=det, trace=float(np.trace(state.cov)),
             mean_norm=float(np.linalg.norm(state.mean)),
         ))
     trace.converged = bool(eigs[-1] / eigs[0] - 1.0 < tol)

@@ -26,11 +26,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .directions import sphere_directions
-from .errors import DegenerateCloudError, DivergentPolarError, ZonomedError
+from .errors import DegenerateCloudError, ZonomedError
 # wills_of_generators is not called here, but both kernel names stay
 # importable from this module: perfbench/tracing.py wraps them.
 from .zonotope import (
-    MonteCarloEstimate,
     PointCloud,
     intrinsic_volume_of_generators,
     unit_ball_volume,
@@ -50,9 +49,13 @@ _SCREEN_STEP = 0.05
 _SCREEN_XATOL = 1e-4
 _SCREEN_FATOL = 1e-8
 
-# Bytes the face forms of one solve may take while they are built; larger
-# problems fail before any subset is listed.
-_FACE_CACHE_BYTES = 1 << 29
+# Bytes the face forms or the polar tables of one solve may take while they
+# are built; larger problems fail before any subset is listed or table built.
+_SOLVE_BYTES = 1 << 29
+
+# Directions of the polar surrogate.  perfbench/reference.py recomputes the
+# planar surrogate on 1024 equal-angle directions, so this must stay 1024.
+_POLAR_DIRECTIONS = 1024
 
 
 @dataclass
@@ -189,10 +192,10 @@ def _face_forms(points: np.ndarray, orders) -> list[tuple[np.ndarray, np.ndarray
     """
     n, d = points.shape
     need = sum(math.comb(n, j) * 8 * (j + 1 + d * (2 * d + j)) for j in orders if j >= 2)
-    if need > _FACE_CACHE_BYTES:
+    if need > _SOLVE_BYTES:
         counts = ", ".join(f"C({n},{j}) = {math.comb(n, j)}" for j in orders)
         raise ZonomedError(
-            f"face forms of {counts} subsets need {need} bytes, over {_FACE_CACHE_BYTES}"
+            f"face forms of {counts} subsets need {need} bytes, over {_SOLVE_BYTES}"
         )
     groups = []
     for j in orders:
@@ -329,35 +332,6 @@ def wills_median(cloud: PointCloud, opts: SolverOptions | None = None) -> Median
     return _face_median(cloud, range(1, cloud.dim + 1), opts, constant=1.0)
 
 
-def sphere_surface_area(d: int) -> float:
-    """Surface measure of S^(d-1), e.g. 2 pi for d = 2."""
-    return d * unit_ball_volume(d)
-
-
-def polar_objective(x, cloud: PointCloud, sphere_samples: int, seed: int) -> MonteCarloEstimate:
-    """Monte Carlo value of the polar-volume integral at x.
-
-    Averages (sum_i |<u, x - x_i>|)^(-d) over uniform random directions u
-    and scales by the sphere surface area.  The integral diverges when the
-    generators x - x_i do not span R^d.
-    """
-    x = np.asarray(x, dtype=float).reshape(-1)
-    if x.size != cloud.dim:
-        raise ValueError(f"point has dimension {x.size}, cloud has {cloud.dim}")
-    if sphere_samples < 1:
-        raise ValueError("sphere_samples must be positive")
-    d = cloud.dim
-    G = x[None, :] - cloud.points
-    if np.linalg.matrix_rank(G) < d:
-        raise DivergentPolarError("generators of Z(x) do not span R^d")
-    rng = np.random.default_rng(seed)
-    u = rng.standard_normal((sphere_samples, d))
-    u /= np.linalg.norm(u, axis=1, keepdims=True)
-    support_sums = np.abs(u @ G.T).sum(axis=1)
-    vals = sphere_surface_area(d) * support_sums ** (-float(d))
-    return MonteCarloEstimate.from_samples(vals)
-
-
 def _polar_evaluator(points: np.ndarray, directions: np.ndarray):
     """The polar surrogate sa * mean_u h_u(x)^(-d) and its a.e. gradient, as
     one function of x built once per cloud.
@@ -366,16 +340,28 @@ def _polar_evaluator(points: np.ndarray, directions: np.ndarray):
     sorted once, with prefix sums S_k.  At x, t = <u, x - m> has rank k, the
     count of c_i < t, and the width h_u = sum_i |t - c_i| = t(2k - n) + S_n - 2 S_k
     has gradient (2k - n) u.  A zero width makes the value infinite.
+
+    The two tables, c and S_n - 2 S_k, take 8 M (2n + 1) bytes, built in
+    place; past _SOLVE_BYTES (n above 32 767 at M = 1024) the cloud is
+    refused before either is built.
     """
     n, d = points.shape
+    m = len(directions)
+    need = 8 * m * (2 * n + 1)
+    if need > _SOLVE_BYTES:
+        raise ZonomedError(
+            f"polar tables of {m} directions x {n} points need {need} bytes, over {_SOLVE_BYTES}"
+        )
     center = points.mean(axis=0)
-    c = np.sort(directions @ (points - center).T, axis=1)  # (M, n)
-    m = len(c)
+    c = directions @ (points - center).T  # (M, n)
+    c.sort(axis=1)
     rows = np.arange(m)
-    prefix = np.zeros((m, n + 1))
-    np.cumsum(c, axis=1, out=prefix[:, 1:])
-    rest = prefix[:, n:] - 2.0 * prefix  # S_n - 2 S_k at rank k
-    sa = sphere_surface_area(d)
+    rest = np.zeros((m, n + 1))
+    np.cumsum(c, axis=1, out=rest[:, 1:])
+    total = rest[:, n:].copy()
+    rest *= -2.0
+    rest += total  # S_n - 2 S_k at rank k
+    sa = d * unit_ball_volume(d)  # the surface measure of S^(d-1)
 
     def evaluate(x) -> tuple[float, np.ndarray]:
         t = directions @ (x - center)
@@ -390,12 +376,11 @@ def _polar_evaluator(points: np.ndarray, directions: np.ndarray):
     return evaluate
 
 
-def polar_median(
-    cloud: PointCloud,
-    opts: SolverOptions | None = None,
-    n_directions: int = 1024,
-) -> MedianResult:
+def polar_median(cloud: PointCloud, opts: SolverOptions | None = None) -> MedianResult:
     """Maximize the polar-volume surrogate over the query point.
+
+    The surrogate averages over _POLAR_DIRECTIONS (1024) fixed directions
+    from ``sphere_directions``, seeded by ``opts.seed`` for d >= 4.
 
     Screen, then polish, with one Nelder-Mead routine whose first simplex
     is a share of the cloud scale wide.  Every start runs one loose round
@@ -417,7 +402,8 @@ def polar_median(
     d = cloud.dim
     if _affine_rank(cloud.points) < d:
         raise DegenerateCloudError("cloud does not affinely span R^d")
-    evaluate = _polar_evaluator(cloud.points, sphere_directions(d, n_directions, seed=opts.seed))
+    directions = sphere_directions(d, _POLAR_DIRECTIONS, seed=opts.seed)
+    evaluate = _polar_evaluator(cloud.points, directions)
     scale = _cloud_scale(cloud.points)
 
     def negative(x):

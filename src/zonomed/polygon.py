@@ -58,17 +58,6 @@ class ConvexPolygon2D:
         v = self.vertices
         return np.array([[v[:, 0].min(), v[:, 0].max()], [v[:, 1].min(), v[:, 1].max()]])
 
-    def contains(self, points, tol: float = 1e-12) -> np.ndarray:
-        """Boolean membership for one point or an (N, 2) batch (boundary counts)."""
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        v = self.vertices
-        edges = np.roll(v, -1, axis=0) - v
-        rel = pts[:, None, :] - v[None, :, :]
-        crosses = edges[None, :, 0] * rel[:, :, 1] - edges[None, :, 1] * rel[:, :, 0]
-        scale = max(1.0, float(np.abs(v).max())) ** 2
-        inside = np.all(crosses >= -tol * scale, axis=1)
-        return inside if np.asarray(points).ndim > 1 else bool(inside[0])
-
 
 def _prune_collinear(verts: np.ndarray, tol: float = 1e-12) -> np.ndarray:
     """Drop repeated and collinear vertices so strict convexity holds."""

@@ -210,6 +210,20 @@ class TestGaussCommand:
         bad.write_text(json.dumps({"mean": [0, 0], "cov": [[1, 0.5], [0.1, 1]]}))
         assert main(["gauss", "--input", str(bad), "--spherize"]) == 2
 
+    def test_det_overflow_names_its_path(self, tmp_path, monkeypatch, capsys):
+        # every state stays finite, but each step's det = prod(eigenvalues)
+        # passes float64: the error names those leaves and no file is written
+        monkeypatch.chdir(tmp_path)
+        cov = np.diag([1.0, 2.0, 3.0]) * 1e300
+        (tmp_path / "big.json").write_text(json.dumps({"mean": [0.0] * 3, "cov": cov.tolist()}))
+        assert main(["gauss", "--input", "big.json", "--spherize", "--output", "out.json"]) == 2
+        err = capsys.readouterr().err
+        head = "zonomed: error: not finite, so not strict JSON: "
+        assert err.startswith(head + "trace[0].det, trace[1].det, ") and err.count("\n") == 1
+        names = err[len(head):].strip().split(", ")
+        assert names == [f"trace[{i}].det" for i in range(len(names))]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["big.json"]
+
     def test_negative_max_iter_exit_2(self, gauss_json, capsys):
         assert main(["gauss", "--input", gauss_json, "--spherize", "--max-iter", "-3"]) == 2
         assert "max_iter must be nonnegative, got -3" in capsys.readouterr().err
@@ -432,6 +446,14 @@ class TestOutputSchema:
                 items = items.values() if isinstance(items, dict) else items
                 assert items and all(set(item) == keys for item in items)
 
+    def test_non_finite_paths(self):
+        # strict JSON has no inf or nan: the error names each one by its path
+        payload = {"a": 1.0, "b": {"c": [1.0, -math.inf]}, "d": np.array([[0.0, math.nan]]),
+                   "e": "inf", "f": [{"g": np.float64(math.inf)}]}
+        with pytest.raises(ValueError) as info:
+            cli._dumps(payload)
+        assert str(info.value) == "not finite, so not strict JSON: b.c[1], d[0][1], f[0].g"
+
 
 class TestDeterminism:
     @pytest.mark.parametrize(
@@ -588,6 +610,28 @@ class TestCsvReader:
         assert main(["intrinsic", "--input", str(path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"zonomed: error: {path}: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("x,y\n\n1,2\n3\n", "line 4: 1 field, expected 2"),
+            ("1,2\n3,4x\n", "line 2: '4x' is not a number"),
+            ("1,2x\n3,4\n", "line 1: '2x' is not a number"),
+            ("a,b\r\n\r\n1,2\r\n \r\n3,4,5\r\n", "line 5: 3 fields, expected 2"),
+            ("1,2\n3, 4 # note\n", "line 2: '4 # note' is not a number"),
+            ("1,2\n3,\n", "line 2: '' is not a number"),
+            ("1,2\n1_0,2\n", "line 2: '1_0' is not a number"),
+            ("1,2\n3,\u0661\n", "line 2: '\u0661' is not a number"),
+        ],
+        ids=["ragged", "typo", "first-row-typo", "crlf-blanks", "comment", "empty-field",
+             "underscore", "arabic-digit"],
+    )
+    def test_malformed_names_the_line(self, tmp_path, capsys, text, message):
+        # the line is the file's own, 1-based, with header and blank lines counted
+        path = tmp_path / "bad.csv"
+        path.write_bytes(text.encode())
+        assert main(["intrinsic", "--input", str(path)]) == 2
+        assert capsys.readouterr().err == f"zonomed: error: {path}: {message}\n"
 
     def test_output_sample_bytes(self, tmp_path):
         # u = e_2 leaves the first coordinate as read, so the extreme values

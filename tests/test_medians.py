@@ -8,20 +8,19 @@ from hypothesis import given, settings, strategies as st
 
 from zonomed import (
     DegenerateCloudError,
-    DivergentPolarError,
     ZonomedError,
     MedianProblem,
     PointCloud,
     SolverOptions,
     grid_oracle,
     polar_median,
-    polar_objective,
     v1_median,
     vd_median,
     vj_median,
     vj_objective,
     wills_median,
 )
+from zonomed import medians
 from zonomed.directions import sphere_directions
 from zonomed.medians import (
     _cloud_scale,
@@ -29,9 +28,8 @@ from zonomed.medians import (
     _face_value,
     _polar_evaluator,
     _start_points,
-    sphere_surface_area,
 )
-from zonomed.zonotope import wills_of_generators
+from zonomed.zonotope import unit_ball_volume, wills_of_generators
 from conftest import refined_grid_minimum, rotation_matrix, subset_volume_sum
 
 
@@ -241,45 +239,50 @@ class TestWillsMedian:
         assert r.value <= gv + 1e-10
 
 
+def _cross_error(count: int) -> float:
+    """|surrogate - 1| at the centre of the cross cloud {(+-1, 0), (0, +-1)}
+    on ``count`` directions.  The polar area there is the integral of
+    (2|cos t| + 2|sin t|)^-2 over [0, 2 pi], which is exactly 1."""
+    cross = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
+    return abs(_polar_evaluator(cross, sphere_directions(2, count))(np.zeros(2))[0] - 1.0)
+
+
 class TestPolarObjective:
     def test_scaling(self):
-        cloud = PointCloud([[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]])
-        x = np.array([0.2, 0.1])
-        s = 3.0
-        scaled = PointCloud(x + s * (cloud.points - x))
-        a = polar_objective(x, cloud, 2000, seed=1)
-        b = polar_objective(x, scaled, 2000, seed=1)
-        assert b.estimate == pytest.approx(a.estimate / s**2, rel=1e-12)
+        # scaling the cloud by s about x scales the surrogate at x by s^-d
+        for d in (2, 3):
+            rng = np.random.default_rng(d)
+            pts = rng.standard_normal((d + 3, d))
+            x = pts.mean(axis=0) + 0.1
+            directions = sphere_directions(d, medians._POLAR_DIRECTIONS)
+            for s in (3.0, 0.1, 7.5):
+                a = _polar_evaluator(pts, directions)(x)[0]
+                b = _polar_evaluator(x + s * (pts - x), directions)(x)[0]
+                assert b == pytest.approx(a / s**d, rel=1e-14, abs=0.0)
 
     def test_cross_cloud_quadrature_oracle(self):
-        cloud = PointCloud([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
-        theta = np.linspace(0.0, 2.0 * math.pi, 20001)
-        integrand = (2.0 * np.abs(np.cos(theta)) + 2.0 * np.abs(np.sin(theta))) ** -2.0
-        oracle = float(np.trapezoid(integrand, theta))
-        est = polar_objective([0.0, 0.0], cloud, 40_000, seed=2)
-        assert abs(est.estimate - oracle) <= 4.0 * est.std_error
-
-    def test_divergent_flat(self):
-        cloud = PointCloud([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
-        with pytest.raises(DivergentPolarError):
-            polar_objective([3.0, 0.0], cloud, 100, seed=0)
+        # the equal-angle surrogate is a midpoint rule: its error falls as M^-2
+        err = _cross_error(medians._POLAR_DIRECTIONS)  # 1024 directions
+        assert err <= 1e-5 and 10.0 * err <= _cross_error(256)
 
 
 class TestPolarMedian:
-    def test_symmetric_cloud_center(self):
+    def test_symmetric_cloud_center(self, monkeypatch):
         # the fixed-direction surrogate is exactly flat on an O(diam/M)
         # polytope around the symmetry center, which caps the resolution
         c = np.array([1.0, -2.0])
         offsets = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
         cloud = PointCloud(c + offsets)
-        r = polar_median(cloud, SolverOptions(tolerance=1e-9), n_directions=8192)
+        monkeypatch.setattr(medians, "_POLAR_DIRECTIONS", 8192)
+        r = polar_median(cloud, SolverOptions(tolerance=1e-9))
         np.testing.assert_allclose(r.argmin, c, atol=1e-3)
 
-    def test_matches_grid_on_surrogate(self):
+    def test_matches_grid_on_surrogate(self, monkeypatch):
         rng = np.random.default_rng(12)
         cloud = PointCloud(rng.normal(size=(5, 2)))
         opts = SolverOptions(tolerance=1e-9, seed=3)
-        r = polar_median(cloud, opts, n_directions=256)
+        monkeypatch.setattr(medians, "_POLAR_DIRECTIONS", 256)
+        r = polar_median(cloud, opts)
         directions = sphere_directions(2, 256, seed=3)
         neg = lambda x: -_polar_reference(x, cloud.points, directions)[0]
         gp, gv, diag = refined_grid_minimum(cloud, neg, cell_target=2e-3, resolution=21)
@@ -298,6 +301,24 @@ class TestPolarMedian:
     def test_degenerate_cloud(self):
         with pytest.raises(DegenerateCloudError):
             polar_median(PointCloud([[0.0, 0.0], [1.0, 0.0]]))
+        with pytest.raises(DegenerateCloudError):
+            polar_median(PointCloud([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]]))
+
+    def test_tables_past_the_budget_are_refused(self, monkeypatch):
+        # the tables take 8 M (2n + 1) bytes: at M = 1024 the 512 MiB budget
+        # admits n <= 32 767, and one point more fails before any is built
+        m = medians._POLAR_DIRECTIONS
+        assert (medians._SOLVE_BYTES // (8 * m) - 1) // 2 == 32_767
+        pts = np.random.default_rng(0).standard_normal((32_768, 2))
+        with pytest.raises(ZonomedError, match=f"need {8 * m * 65_537} bytes, over {1 << 29}"):
+            polar_median(PointCloud(pts))
+        # the bound is the tables' size: a budget of exactly 50 points' tables
+        # admits 50 points and refuses 51
+        monkeypatch.setattr(medians, "_SOLVE_BYTES", 8 * m * 101)
+        directions = sphere_directions(2, m)
+        assert math.isfinite(_polar_evaluator(pts[:50], directions)(np.ones(2))[0])
+        with pytest.raises(ZonomedError, match="polar tables of 1024 directions x 51 points"):
+            _polar_evaluator(pts[:51], directions)
 
 
 def _polar_reference(x, points, directions):
@@ -306,7 +327,7 @@ def _polar_reference(x, points, directions):
     n, d = points.shape
     proj = directions @ (x - points).T
     widths = np.abs(proj).sum(axis=1)
-    sa = sphere_surface_area(d)
+    sa = d * unit_ball_volume(d)
     value = sa * np.mean(widths ** -float(d))
     grad = sa * ((-d * widths ** (-d - 1.0) * np.sign(proj).sum(axis=1)) @ directions) / len(proj)
     return value, grad, sa * np.mean(d * n * widths ** (-d - 1.0))

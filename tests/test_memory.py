@@ -1,5 +1,6 @@
-"""Working sets of the sample commands' layers: each holds at most a fixed
-budget beyond its inputs and its output, whatever the sample's size.
+"""Working sets of the sample commands' layers and of the polar tables: each
+holds at most a fixed budget beyond its inputs and its output, whatever the
+sample's size.
 
 tracemalloc sees the buffers numpy allocates, so a temporary as large as
 the input shows here as bytes, not as a resident-set reading that depends
@@ -13,7 +14,9 @@ import numpy as np
 
 from zonomed import cli, empirical
 from zonomed.cli import _read_csv, main
+from zonomed.directions import sphere_directions
 from zonomed.empirical import EmpiricalSample, NormReduction, RegressorConfig, _conditional_mean
+from zonomed.medians import _polar_evaluator
 from zonomed.polygon import ConvexPolygon2D, distances_to_polygon
 
 MB = 2**20
@@ -71,3 +74,13 @@ def test_knn_conditional_mean():
     # projections and the tree's copy of them
     block = 16 * empirical._QUERY_NEIGHBOURS
     assert peak <= block + 6 * draws.nbytes + out.nbytes
+
+
+def test_polar_tables():
+    # the sorted projections and S_n - 2 S_k, (M, n) and (M, n + 1) floats,
+    # are built in place: no sorted copy, no second prefix-sum table
+    n, m = 1000, 1024
+    pts = np.random.default_rng(5).standard_normal((n, 2))
+    directions = sphere_directions(2, m)
+    _, peak = traced_peak(lambda: _polar_evaluator(pts, directions))
+    assert peak <= 8 * m * (2 * n + 1) + 1 * MB

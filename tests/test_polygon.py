@@ -43,12 +43,6 @@ class TestConvexPolygon:
         assert square.perimeter == pytest.approx(4.0)
         assert square.diameter == pytest.approx(math.sqrt(2.0))
 
-    def test_contains(self):
-        square = ConvexPolygon2D([[0, 0], [1, 0], [1, 1], [0, 1]])
-        assert square.contains([0.5, 0.5])
-        assert square.contains([1.0, 1.0])  # boundary counts
-        assert not square.contains([1.5, 0.5])
-
 
 class TestZonotopePolygon:
     def test_unit_square(self):
