@@ -57,6 +57,10 @@ _SOLVE_BYTES = 1 << 29
 # planar surrogate on 1024 equal-angle directions, so this must stay 1024.
 _POLAR_DIRECTIONS = 1024
 
+# Bytes of the bool temporary in which the polar evaluator ranks one slab of
+# directions; a cloud of up to 1024 points is ranked in one slab.
+_RANK_BYTES = 1 << 20
+
 
 @dataclass
 class SolverOptions:
@@ -343,7 +347,8 @@ def _polar_evaluator(points: np.ndarray, directions: np.ndarray):
 
     The two tables, c and S_n - 2 S_k, take 8 M (2n + 1) bytes, built in
     place; past _SOLVE_BYTES (n above 32 767 at M = 1024) the cloud is
-    refused before either is built.
+    refused before either is built.  Each call compares t with c a slab of
+    directions at a time, in a bool temporary of at most _RANK_BYTES.
     """
     n, d = points.shape
     m = len(directions)
@@ -362,10 +367,14 @@ def _polar_evaluator(points: np.ndarray, directions: np.ndarray):
     rest *= -2.0
     rest += total  # S_n - 2 S_k at rank k
     sa = d * unit_ball_volume(d)  # the surface measure of S^(d-1)
+    slab = max(1, _RANK_BYTES // n)
 
     def evaluate(x) -> tuple[float, np.ndarray]:
         t = directions @ (x - center)
-        k = np.count_nonzero(c < t[:, None], axis=1)
+        k = np.empty(m, dtype=np.intp)
+        for lo in range(0, m, slab):
+            cut = slice(lo, lo + slab)
+            k[cut] = np.count_nonzero(c[cut] < t[cut, None], axis=1)
         slope = 2 * k - n
         h = t * slope + rest[rows, k]
         if not h.min() > 0.0:
@@ -374,6 +383,76 @@ def _polar_evaluator(points: np.ndarray, directions: np.ndarray):
         return sa / m * float(p.sum()), (-d * sa / m) * ((p / h * slope) @ directions)
 
     return evaluate
+
+
+class _MaxFev(Exception):
+    """The objective was called once more after ``maxfev`` calls."""
+
+
+def _nelder_mead(f, simplex, xatol, fatol, maxfev):
+    """Minimize f by Nelder-Mead (Nelder & Mead 1965; Lagarias et al. 1998)
+    from ``simplex`` ((N + 1, N)): reflect 1, expand 2, contract and shrink
+    1/2, the vertices re-sorted by value after every step.  It stops once
+    every vertex is within ``xatol`` of the best in each coordinate and
+    ``fatol`` in value, or at the call that would pass ``maxfev``, leaving
+    that step unfinished.  Returns (x, f(x), calls, calls < maxfev): step for
+    step, and so bit for bit, scipy 1.17's ``minimize(method="Nelder-Mead")``
+    given ``initial_simplex``, ``xatol``, ``fatol`` and ``maxfev``.
+    """
+    sim = np.array(simplex, dtype=float)
+    N = sim.shape[1]
+    fsim = np.full(N + 1, np.inf)
+    calls = 0
+
+    def func(x):
+        nonlocal calls
+        if calls >= maxfev:
+            raise _MaxFev
+        calls += 1
+        return f(x)
+
+    try:
+        for k in range(N + 1):
+            fsim[k] = func(sim[k])
+    except _MaxFev:
+        pass
+    for _ in range(2):  # twice, as scipy does: an unstable argsort may reorder ties
+        ind = np.argsort(fsim)
+        sim, fsim = np.take(sim, ind, 0), np.take(fsim, ind, 0)
+    while calls < maxfev:
+        if (np.max(np.abs(sim[1:] - sim[0])) <= xatol
+                and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol):
+            break
+        try:
+            xbar = np.add.reduce(sim[:-1], 0) / N
+            xr = 2.0 * xbar - sim[-1]
+            fxr = func(xr)
+            if fxr < fsim[0]:
+                xe = 3.0 * xbar - 2.0 * sim[-1]
+                fxe = func(xe)
+                sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+            elif fxr < fsim[-2]:
+                sim[-1], fsim[-1] = xr, fxr
+            else:
+                if fxr < fsim[-1]:  # outside contraction
+                    xc = 1.5 * xbar - 0.5 * sim[-1]
+                    fxc = func(xc)
+                    shrink = not fxc <= fxr
+                else:  # inside contraction
+                    xc = 0.5 * xbar + 0.5 * sim[-1]
+                    fxc = func(xc)
+                    shrink = not fxc < fsim[-1]
+                if not shrink:
+                    sim[-1], fsim[-1] = xc, fxc
+                else:
+                    for j in range(1, N + 1):
+                        sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])
+                        fsim[j] = func(sim[j])
+        except _MaxFev:
+            pass
+        ind = np.argsort(fsim)
+        sim, fsim = np.take(sim, ind, 0), np.take(fsim, ind, 0)
+    return sim[0], np.min(fsim), calls, calls < maxfev
 
 
 def polar_median(cloud: PointCloud, opts: SolverOptions | None = None) -> MedianResult:
@@ -390,14 +469,9 @@ def polar_median(cloud: PointCloud, opts: SolverOptions | None = None) -> Median
     the lexicographically smaller one, gets a single full-tolerance round
     from a simplex 1e-2 times the scale wide, stopped at a width of 0.1
     ``opts.tolerance`` and a spread of 1e-13 (1 + |f|); its success flag is
-    ``converged``.  A root solve on the gradient finishes it.
-    ``iterations`` counts surrogate evaluations across the screen and the
-    polish.
+    ``converged``.  ``iterations`` counts surrogate evaluations across the
+    screen and the polish.
     """
-    # The only scipy import of the median solvers: the other objectives and
-    # the CLI's import run on numpy alone.
-    from scipy.optimize import minimize, root
-
     opts = opts or SolverOptions()
     d = cloud.dim
     if _affine_rank(cloud.points) < d:
@@ -412,31 +486,15 @@ def polar_median(cloud: PointCloud, opts: SolverOptions | None = None) -> Median
     def nelder_mead(start, step, xatol, fatol):
         # The first simplex spans a share of the cloud scale, not of |start|,
         # so a start near the origin of a wide cloud still moves.
-        options = {
-            "xatol": xatol,
-            "fatol": fatol * (1.0 + abs(negative(start))),
-            "maxfev": opts.max_iter,
-            "initial_simplex": np.vstack([start, start + step * scale * np.eye(d)]),
-        }
-        return minimize(negative, start, method="Nelder-Mead", options=options)
+        simplex = np.vstack([start, start + step * scale * np.eye(d)])
+        fatol = fatol * (1.0 + abs(negative(start)))
+        return _nelder_mead(negative, simplex, xatol, fatol, opts.max_iter)
 
     starts = _start_points(cloud, opts, extra=(cloud.points.mean(axis=0),))
     screened = [nelder_mead(s, _SCREEN_STEP, _SCREEN_XATOL * scale, _SCREEN_FATOL) for s in starts]
-    winner = min(screened, key=lambda r: (r.fun, tuple(r.x)))
-    polish = nelder_mead(winner.x, 1e-2, 0.1 * opts.tolerance, 1e-13)
-    best_x, best_neg, converged = polish.x, float(polish.fun), bool(polish.success)
-    iterations = polish.nfev + sum(r.nfev for r in screened)
-    # Stationarity polish.  The maximum sits on a top so flat that function
-    # values cannot resolve it, so solve grad = 0 directly instead.  Its
-    # answer may lose only a relative 1e-12: the value scales as scale^(-d).
-    sol = root(lambda y: evaluate(y)[1], best_x, method="hybr")
-    cand = np.asarray(sol.x, dtype=float)
-    if (
-        np.all(np.isfinite(cand))
-        and np.linalg.norm(cand - best_x) <= 0.5 * scale
-        and evaluate(cand)[0] >= -best_neg * (1.0 - 1e-12)
-    ):
-        best_x = cand
+    winner = min(screened, key=lambda r: (r[1], tuple(r[0])))[0]
+    best_x, _, calls, converged = nelder_mead(winner, 1e-2, 0.1 * opts.tolerance, 1e-13)
+    iterations = calls + sum(r[2] for r in screened)
     value = evaluate(best_x)[0]
     non_unique = _detect_flat(negative, best_x, -value, cloud.points)
     trace = [(best_x.copy(), value)] if opts.keep_trace else None

@@ -698,7 +698,8 @@ _RUN_CLI = """
 import json, sys
 from zonomed.cli import main
 code = main({argv!r})
-print(json.dumps({{"code": code, "scipy": "scipy" in sys.modules}}))
+print(json.dumps({{"code": code, "scipy": "scipy" in sys.modules,
+                  "scipy.optimize": "scipy.optimize" in sys.modules}}))
 """
 
 
@@ -731,7 +732,7 @@ class TestLazyScipy:
              False),
             (["empirical", "symmetrize", "--input", "plane.csv", "--u", "1,1",
               "--output-sample", "out.csv"], False),
-            (["median", "--objective", "polar", "--input", "plane.csv", "--seed", "1"], True),
+            (["median", "--objective", "polar", "--input", "plane.csv", "--seed", "1"], False),
             (["empirical", "symmetrize", "--input", "space.csv", "--u", "1,1,1",
               "--output-sample", "out.csv"], True),
             (["gauss", "--input", "state.json", "--spherize"], False),
@@ -739,13 +740,19 @@ class TestLazyScipy:
               "--seed", "1"], False),
             (["empirical", "symmetrize", "--input", "space.csv", "--u", "1,1,1",
               "--method", "exact_linear", "--output-sample", "out.csv"], False),
+            (["median", "--objective", "wills", "--input", "space.csv", "--seed", "1"], False),
+            (["intrinsic", "--input", "plane.csv", "--mc", "200", "--seed", "1"], False),
+            (["gauss", "--input", "state.json", "--u", "1,0,1"], False),
+            (["empirical", "explore", "--input", "space.csv", "--steps", "1", "--seed", "1"],
+             True),
         ],
         ids=["intrinsic", "median-vj", "symmetrize-plane", "median-polar", "symmetrize-space",
-             "gauss-spherize", "theorem1", "symmetrize-space-exact-linear"],
+             "gauss-spherize", "theorem1", "symmetrize-space-exact-linear", "median-wills",
+             "intrinsic-mc", "gauss-u", "explore"],
     )
     def test_scipy_loaded_only_where_used(self, inputs, argv, loads_scipy):
         report = _fresh_interpreter(_RUN_CLI.format(argv=argv + ["--output", "out.json"]), inputs)
-        assert report == {"code": 0, "scipy": loads_scipy}
+        assert report == {"code": 0, "scipy": loads_scipy, "scipy.optimize": False}
         json.loads((inputs / "out.json").read_text())
 
     def test_replaced_tree_class_is_built(self, tmp_path):

@@ -26,6 +26,7 @@ from zonomed.medians import (
     _cloud_scale,
     _face_forms,
     _face_value,
+    _nelder_mead,
     _polar_evaluator,
     _start_points,
 )
@@ -447,6 +448,50 @@ def test_polar_polish_passes_a_kink_near_the_winner():
     # kink of the surrogate 9.3e-9 relative short of the other starts' maximum.
     cloud = PointCloud(_mixed_cloud(np.random.default_rng(1000), 30, 3))
     _assert_matches_full_multistart(cloud, SolverOptions(seed=0))
+
+
+def _nelder_mead_case(seed, d, kind):
+    """An objective of ``kind`` in d variables and a random first simplex."""
+    rng = np.random.default_rng(seed)
+    if kind == "quadratic":
+        weights = rng.uniform(0.1, 10.0, d)
+        centre = rng.standard_normal(d)
+        return (lambda x: float(weights @ (x - centre) ** 2)), rng.standard_normal((d + 1, d))
+    if kind == "abs":
+        # rounded coordinates on a half-integer simplex: many equal values
+        return (lambda x: float(np.abs(np.round(x)).sum())), rng.integers(-4, 5, (d + 1, d)) / 2.0
+    # the polar negative of 1-5 points; on one point a vertex at that point
+    # has zero width, so its value is -inf
+    pts = rng.standard_normal((int(rng.integers(1, 6)), d))
+    evaluate = _polar_evaluator(pts, sphere_directions(d, 64, seed=seed))
+    simplex = pts[0] + rng.standard_normal((d + 1, d))
+    if rng.random() < 0.5:
+        simplex[rng.integers(d + 1)] = pts[0]
+    return (lambda x: -evaluate(x)[0]), simplex
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    d=st.integers(1, 4),
+    kind=st.sampled_from(["quadratic", "abs", "polar"]),
+    maxfev=st.integers(1, 200),
+    xatol=st.sampled_from([0.0, 1e-8, 1e-3, 0.1]),
+    fatol=st.sampled_from([0.0, 1e-8, 1e-3, 0.1]),
+)
+def test_nelder_mead_is_scipys(seed, d, kind, maxfev, xatol, fatol):
+    """The port returns scipy's x bits, value, call count and success flag,
+    with the call cap falling in the first vertices, a shrink or a step."""
+    from scipy.optimize import minimize
+
+    f, simplex = _nelder_mead_case(seed, d, kind)
+    options = {"xatol": xatol, "fatol": fatol, "maxfev": maxfev, "initial_simplex": simplex}
+    with np.errstate(all="ignore"):  # a -inf vertex makes -inf - -inf spreads
+        want = minimize(f, simplex[0], method="Nelder-Mead", options=options)
+        x, fun, calls, success = _nelder_mead(f, simplex, xatol, fatol, maxfev)
+    assert x.tobytes() == want.x.tobytes()
+    assert float(fun).hex() == float(want.fun).hex()
+    assert (calls, success) == (want.nfev, want.success)
 
 
 class TestGridOracle:
