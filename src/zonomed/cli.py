@@ -30,7 +30,7 @@ from .empirical import (
     theorem1_check,
 )
 from .errors import ZonomedError
-from .gauss import GaussianState, SymmetrizationTrace, sphere_iterate, symmetrize_gaussian
+from .gauss import GaussianState, SymmetrizationTrace, _unit, sphere_iterate, symmetrize_gaussian
 from .medians import MedianProblem, PointCloud, SolverOptions
 from .polygon import polygon_from_json_dict
 # wills_functional is not called here (``intrinsic`` sums the V_j it has
@@ -101,11 +101,7 @@ def _bad_row(path: str) -> str | None:
 
 
 def _parse_vector(text: str) -> np.ndarray:
-    vec = np.asarray([float(c) for c in text.split(",")], dtype=float)
-    norm = np.linalg.norm(vec)
-    if norm == 0.0:
-        raise ValueError("direction vector must be nonzero")
-    return vec / norm
+    return _unit([float(c) for c in text.split(",")])
 
 
 def _write_output(chunks, path: str) -> None:
@@ -275,7 +271,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_med.add_argument("--input", required=True, help="CSV of sample points, one per row")
     p_med.add_argument("--objective", choices=["vj", "wills", "polar"], default="vj")
     p_med.add_argument("--j", type=int, default=None, help="intrinsic-volume order for vj")
-    p_med.add_argument("--tolerance", type=float, default=1e-8, help="polar polish only")
+    p_med.add_argument("--tolerance", type=float, default=1e-8,
+                       help="polar polish only: a simplex width relative to the cloud's spread")
     p_med.add_argument("--max-iter", type=int, default=10_000)
     p_med.add_argument(
         "--multistarts", type=int, default=8,

@@ -259,10 +259,10 @@ def polygon_steiner_symmetral_2d(poly: ConvexPolygon2D, u) -> ConvexPolygon2D:
     # drop the duplicated endpoints where the chord length vanishes
     keep = []
     for pt in chain:
-        if keep and np.allclose(pt, keep[-1], rtol=0.0, atol=1e-15 * (1.0 + span)):
+        if keep and np.allclose(pt, keep[-1], rtol=0.0, atol=1e-15 * span):
             continue
         keep.append(pt)
-    if np.allclose(keep[0], keep[-1], rtol=0.0, atol=1e-15 * (1.0 + span)):
+    if np.allclose(keep[0], keep[-1], rtol=0.0, atol=1e-15 * span):
         keep.pop()
     frame = np.vstack([w, u])  # rows
     planar = np.asarray(keep) @ frame

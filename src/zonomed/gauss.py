@@ -77,6 +77,17 @@ class SymmetrizationTrace:
         return len(self.steps)
 
 
+def _unit(v) -> np.ndarray:
+    """v / ||v||, v first divided by the power of two of max|v|: that is exact,
+    so the norm neither under- nor overflows and the bits are v / ||v||'s."""
+    v = np.asarray(v, dtype=float).reshape(-1)
+    top = np.abs(v).max()
+    if top == 0.0:
+        raise ValueError("direction vector must be nonzero")
+    v = np.ldexp(v, -np.frexp(top)[1])
+    return v / np.linalg.norm(v)
+
+
 def _check_unit(u) -> np.ndarray:
     u = np.asarray(u, dtype=float).reshape(-1)
     if not abs(np.linalg.norm(u) - 1.0) <= _UNIT_TOL:
@@ -207,12 +218,11 @@ def sphere_iterate(
     trace = SymmetrizationTrace()
     d = state.dim
     eigs, vecs = np.linalg.eigh(state.cov)
-    mean_norm = float(np.linalg.norm(state.mean))
     for i in range(-1, max_iter):  # i = -1 is the centering step
         if i < 0:
-            if mean_norm == 0.0:
+            if not state.mean.any():
                 continue
-            kind, u = "center", state.mean / mean_norm
+            kind, u = "center", _unit(state.mean)
         elif eigs[-1] / eigs[0] - 1.0 < tol:
             break
         else:

@@ -36,15 +36,15 @@ from .zonotope import (
     wills_of_generators,
 )
 
-# Flat-region detection: probe step relative to the cloud scale, and the
-# relative objective variation below which a direction counts as flat.
+# Every solve sees the cloud divided by a power of two (_normalized), so the
+# constants below and in the solvers are relative to its spread.  Flat-region
+# detection: probe step, and the relative variation that counts as flat.
 _PROBE_STEP = 1e-3
 _FLAT_REL = 1e-9
 
 # Polar screen: each start's single Nelder-Mead round begins from a simplex
-# _SCREEN_STEP of the cloud scale wide and stops once it is _SCREEN_XATOL of
-# the scale wide and its values agree to _SCREEN_FATOL of 1 + |f|; only the
-# winner gets the full-tolerance polish.
+# _SCREEN_STEP wide and stops once it is _SCREEN_XATOL wide and its values
+# agree to _SCREEN_FATOL of 1 + |f|; only the winner gets the full polish.
 _SCREEN_STEP = 0.05
 _SCREEN_XATOL = 1e-4
 _SCREEN_FATOL = 1e-8
@@ -64,9 +64,9 @@ _RANK_BYTES = 1 << 20
 
 @dataclass
 class SolverOptions:
-    """``tolerance`` stops the polish of the polar screen's winner only; the
-    polar screen and the face-form Newton solver of every V_j (j = 1
-    included) and Wills median have their own scale-relative stop rules.
+    """``tolerance`` stops the polish of the polar screen's winner only, at a
+    simplex width relative to the cloud's spread; the polar screen and the
+    face-form Newton solver (every V_j and Wills) have their own stop rules.
     ``max_iter`` caps every solver (for polar, each Nelder-Mead round);
     ``multistarts`` applies to polar only."""
 
@@ -127,17 +127,27 @@ def vj_objective(x, cloud: PointCloud, j: int) -> float:
     return intrinsic_volume_of_generators(x[None, :] - cloud.points, j)
 
 
-def _cloud_scale(points: np.ndarray) -> float:
-    center = points.mean(axis=0)
-    return 1.0 + float(np.sqrt(((points - center) ** 2).sum(axis=1)).max())
+def _normalized(points: np.ndarray) -> tuple[np.ndarray, int]:
+    """(points / 2^e, e), e the binary exponent of the largest distance from
+    the mean (0 for none): an exact division to a spread in [1/2, 1), found
+    without squaring a raw coordinate."""
+    centered = points - points.mean(axis=0)
+    e = math.frexp(float(np.abs(centered).max()))[1]
+    e += math.frexp(float(np.sqrt((np.ldexp(centered, -e) ** 2).sum(axis=1)).max()))[1]
+    return np.ldexp(points, -e), e
+
+
+def _scaled(value: float, e: int, name: str) -> float:
+    """value * 2^e, exact while normal; past float64 an OverflowError names it."""
+    if math.frexp(value)[1] + e > 1024:
+        raise OverflowError(f"{name} {value!r} x 2^{e} overflows float64")
+    return math.ldexp(value, e)
 
 
 def _affine_rank(points: np.ndarray) -> int:
     centered = points - points.mean(axis=0)
     sv = np.linalg.svd(centered, compute_uv=False)
-    if sv.size == 0 or sv[0] == 0.0:
-        return 0
-    return int(np.sum(sv > 1e-10 * sv[0]))
+    return int(np.sum(sv > 1e-10 * sv[0]))  # 0 when every point is the same
 
 
 def _probe_directions(points: np.ndarray, extra=()) -> np.ndarray:
@@ -148,39 +158,29 @@ def _probe_directions(points: np.ndarray, extra=()) -> np.ndarray:
     _, _, vt = np.linalg.svd(centered, full_matrices=False)
     dirs.extend(v for v in vt if np.linalg.norm(v) > 0.5)
     dirs.extend(extra)
-    both = np.vstack([dirs, -np.asarray(dirs)])
-    return both
+    return np.vstack([dirs, -np.asarray(dirs)])
 
 
 def _detect_flat(objective, x: np.ndarray, value: float, points: np.ndarray, extra=()) -> bool:
     """True when the objective is flat (to _FLAT_REL) along some probe direction."""
-    h = _PROBE_STEP * _cloud_scale(points)
     threshold = _FLAT_REL * abs(value)
-    for u in _probe_directions(points, extra):
-        if abs(objective(x + h * u) - value) <= threshold:
-            return True
-    return False
+    return any(abs(objective(x + _PROBE_STEP * u) - value) <= threshold
+               for u in _probe_directions(points, extra))
 
 
-def _start_points(cloud: PointCloud, opts: SolverOptions, extra=()) -> list[np.ndarray]:
-    pts = cloud.points
-    starts = [np.median(pts, axis=0)]
-    starts.extend(np.asarray(e, dtype=float) for e in extra)
+def _start_points(pts: np.ndarray, opts: SolverOptions, extra=()) -> list[np.ndarray]:
+    n, d = pts.shape
+    starts = [np.median(pts, axis=0), *extra]
     rng = np.random.default_rng(opts.seed)
-    order = rng.permutation(cloud.n)
-    for i in order:
-        if len(starts) >= opts.multistarts:
-            break
-        starts.append(pts[i].copy())
-    scale = _cloud_scale(pts)
+    starts.extend(pts[rng.permutation(n)[: max(0, opts.multistarts - len(starts))]])
     while len(starts) < opts.multistarts:
-        starts.append(starts[0] + 0.1 * scale * rng.standard_normal(cloud.dim))
+        starts.append(starts[0] + 0.1 * rng.standard_normal(d))
     return starts[: opts.multistarts]
 
 
 def v1_median(cloud: PointCloud, opts: SolverOptions | None = None) -> MedianResult:
     """L1 (geometric) median: the face-form solve of V_1, whose terms are ||x - x_i||."""
-    return _face_median(cloud, (1,), opts or SolverOptions())
+    return vj_median(cloud, 1, opts)
 
 
 def _face_forms(points: np.ndarray, orders) -> list[tuple[np.ndarray, np.ndarray, np.ndarray | None]]:
@@ -244,30 +244,30 @@ def _face_value(groups, x: np.ndarray, eps: float = 0.0, derivatives: bool = Fal
     return (value, grad, hess) if derivatives else value
 
 
-def _face_median(cloud: PointCloud, orders, opts: SolverOptions, constant: float = 0.0):
+def _face_median(pts: np.ndarray, e: int, orders, opts: SolverOptions, constant: float = 0.0):
     """Minimize constant + sum over j in orders of V_j(Z(x)) from the face forms.
 
-    Damped Newton (Armijo backtracking) on sum_S w_S sqrt(r_S^2 + eps^2),
-    starting at the coordinatewise median, with eps lowered tenfold per
-    stage from 1e-2 to 1e-13 times the cloud scale.  A stage ends when a
-    step is shorter than max(1e-3 eps, 1e-14 scale) or leaves the smoothed
-    value unchanged: the floor can fall below the rounding unit of |x| far
-    from the origin, and along a flat valley no step lowers the value.
-    ``opts.max_iter`` caps the Newton steps over all stages, and the result
-    is converged only when the last stage ended within that cap.
+    ``pts`` is the cloud divided by 2^e (_normalized): damped Newton (Armijo
+    backtracking) on sum_S w_S sqrt(r_S^2 + eps^2) from the coordinatewise
+    median, eps lowered tenfold per stage from 1e-2 to 1e-13 of the spread.
+    A stage ends when a step is shorter than max(1e-3 eps, 1e-14) or leaves
+    the smoothed value unchanged: the floor can fall below the rounding
+    unit of |x| far from the origin, and along a flat valley no step lowers
+    the value.  ``opts.max_iter`` caps the Newton steps over all stages;
+    converged means the last stage ended within that cap.  The argmin maps
+    back by 2^e, a V_j value by 2^(je).  The Wills sum (a ``constant``)
+    mixes degrees: its order-j weights take 2^(je) and the whole sum 2^-top,
+    top = d max(e, 0), so no weight grows and no derivative overflows.
     """
-    pts = cloud.points
+    top = len(orders) * max(e, 0) if constant else orders[0] * e
+    name = "the Wills value" if constant else f"the V_{orders[0]} value"
+    forms = zip(_face_forms(pts, orders), orders)
+    groups = [(a, np.ldexp(w, j * e - top), N) for (a, w, N), j in forms]
+    constant = math.ldexp(constant, -top)
     x = np.median(pts, axis=0)
-    # the start's value at eps = scale, finite, bounds every value met below
-    with np.errstate(over="ignore", invalid="ignore"):
-        groups = _face_forms(pts, orders)
-        scale = _cloud_scale(pts)
-        finite = math.isfinite(_face_value(groups, x, scale))
-    if not finite:
-        raise OverflowError("the objective overflows float64 on this cloud")
     path = []
-    for eps in scale * 10.0 ** -np.arange(2.0, 14.0):
-        floor = max(1e-3 * eps, 1e-14 * scale)
+    for eps in 10.0 ** -np.arange(2.0, 14.0):
+        floor = max(1e-3 * eps, 1e-14)
         stage_done = False
         while not stage_done and len(path) < opts.max_iter:
             f, g, H = _face_value(groups, x, eps, derivatives=True)
@@ -297,18 +297,18 @@ def _face_median(cloud: PointCloud, orders, opts: SolverOptions, constant: float
     # A minimum that fills a segment or cell need not lie along any axis or
     # singular direction of the cloud; the smoothed Hessian's softest
     # direction at x points along it.
-    _, _, H = _face_value(groups, x, 1e-6 * scale, derivatives=True)
+    _, _, H = _face_value(groups, x, 1e-6, derivatives=True)
     softest = np.linalg.eigh(H)[1][:, 0]
     non_unique = _detect_flat(objective, x, value, pts, (softest,))
-    trace = [(y.copy(), objective(y)) for y in path] if opts.keep_trace else None
-    return MedianResult(x, value, len(path), stage_done, non_unique, trace)
+    trace = [(np.ldexp(y, e), _scaled(objective(y), top, name))
+             for y in path] if opts.keep_trace else None
+    value = _scaled(value, top, name)
+    return MedianResult(np.ldexp(x, e), value, len(path), stage_done, non_unique, trace)
 
 
 def vd_median(cloud: PointCloud, opts: SolverOptions | None = None) -> MedianResult:
     """Oja median: minimize the sum of simplex-volume terms |det(x - x_i : i in S)|."""
-    if _affine_rank(cloud.points) < cloud.dim:
-        raise DegenerateCloudError("cloud does not affinely span R^d")
-    return _face_median(cloud, (cloud.dim,), opts or SolverOptions())
+    return vj_median(cloud, cloud.dim, opts)
 
 
 def vj_median(cloud: PointCloud, j: int, opts: SolverOptions | None = None) -> MedianResult:
@@ -322,18 +322,19 @@ def vj_median(cloud: PointCloud, j: int, opts: SolverOptions | None = None) -> M
     d = cloud.dim
     if not 1 <= j <= d:
         raise ValueError(f"need 1 <= j <= d, got j={j}, d={d}")
-    if j >= 2 and _affine_rank(cloud.points) < j:
+    pts, e = _normalized(cloud.points)
+    if j >= 2 and _affine_rank(pts) < j:
         raise DegenerateCloudError(
             f"cloud lies in a flat of dimension < {j}; V_{j} objective is degenerate"
         )
-    return _face_median(cloud, (j,), opts or SolverOptions())
+    return _face_median(pts, e, (j,), opts or SolverOptions())
 
 
 def wills_median(cloud: PointCloud, opts: SolverOptions | None = None) -> MedianResult:
     """Minimize the Wills functional W(Z(x)) = 1 + sum_j V_j(Z(x)), a sum of
     convex V_j objectives, with the same face-form Newton solve."""
-    opts = opts or SolverOptions()
-    return _face_median(cloud, range(1, cloud.dim + 1), opts, constant=1.0)
+    pts, e = _normalized(cloud.points)
+    return _face_median(pts, e, range(1, cloud.dim + 1), opts or SolverOptions(), constant=1.0)
 
 
 def _polar_evaluator(points: np.ndarray, directions: np.ndarray):
@@ -461,44 +462,45 @@ def polar_median(cloud: PointCloud, opts: SolverOptions | None = None) -> Median
     The surrogate averages over _POLAR_DIRECTIONS (1024) fixed directions
     from ``sphere_directions``, seeded by ``opts.seed`` for d >= 4.
 
-    Screen, then polish, with one Nelder-Mead routine whose first simplex
-    is a share of the cloud scale wide.  Every start runs one loose round
-    from a simplex _SCREEN_STEP times the scale wide, stopped at a width of
-    _SCREEN_XATOL times the scale and a value spread of _SCREEN_FATOL
-    (1 + |f|), f the value at the start.  The best screened point, ties to
-    the lexicographically smaller one, gets a single full-tolerance round
-    from a simplex 1e-2 times the scale wide, stopped at a width of 0.1
-    ``opts.tolerance`` and a spread of 1e-13 (1 + |f|); its success flag is
-    ``converged``.  ``iterations`` counts surrogate evaluations across the
-    screen and the polish.
+    Screen, then polish, with one Nelder-Mead routine on the cloud divided
+    by 2^e (_normalized), so every width is relative to the spread.  Every
+    start runs one loose round from a simplex _SCREEN_STEP wide, stopped at
+    a width of _SCREEN_XATOL and a value spread of _SCREEN_FATOL (1 + |f|),
+    f the value at the start.  The best screened point (ties to the
+    lexicographically smaller) gets one round from a simplex 1e-2 wide,
+    stopped at a width of 0.1 ``opts.tolerance`` and a spread of 1e-13
+    (1 + |f|); its success flag is ``converged``.  ``iterations`` counts
+    evaluations in both.  The argmin maps back by 2^e, the value by 2^-de.
     """
     opts = opts or SolverOptions()
     d = cloud.dim
-    if _affine_rank(cloud.points) < d:
+    pts, e = _normalized(cloud.points)
+    if _affine_rank(pts) < d:
         raise DegenerateCloudError("cloud does not affinely span R^d")
     directions = sphere_directions(d, _POLAR_DIRECTIONS, seed=opts.seed)
-    evaluate = _polar_evaluator(cloud.points, directions)
-    scale = _cloud_scale(cloud.points)
+    evaluate = _polar_evaluator(pts, directions)
 
     def negative(x):
         return -evaluate(x)[0]
 
     def nelder_mead(start, step, xatol, fatol):
-        # The first simplex spans a share of the cloud scale, not of |start|,
-        # so a start near the origin of a wide cloud still moves.
-        simplex = np.vstack([start, start + step * scale * np.eye(d)])
+        # The first simplex spans a share of the spread, not of |start|, so
+        # a start near the origin of a wide cloud still moves.
+        simplex = np.vstack([start, start + step * np.eye(d)])
         fatol = fatol * (1.0 + abs(negative(start)))
         return _nelder_mead(negative, simplex, xatol, fatol, opts.max_iter)
 
-    starts = _start_points(cloud, opts, extra=(cloud.points.mean(axis=0),))
-    screened = [nelder_mead(s, _SCREEN_STEP, _SCREEN_XATOL * scale, _SCREEN_FATOL) for s in starts]
+    starts = _start_points(pts, opts, extra=(pts.mean(axis=0),))
+    screened = [nelder_mead(s, _SCREEN_STEP, _SCREEN_XATOL, _SCREEN_FATOL) for s in starts]
     winner = min(screened, key=lambda r: (r[1], tuple(r[0])))[0]
     best_x, _, calls, converged = nelder_mead(winner, 1e-2, 0.1 * opts.tolerance, 1e-13)
     iterations = calls + sum(r[2] for r in screened)
     value = evaluate(best_x)[0]
-    non_unique = _detect_flat(negative, best_x, -value, cloud.points)
-    trace = [(best_x.copy(), value)] if opts.keep_trace else None
-    return MedianResult(best_x, value, iterations, converged, non_unique, trace)
+    non_unique = _detect_flat(negative, best_x, -value, pts)
+    value = _scaled(value, -d * e, "the polar value")
+    argmin = np.ldexp(best_x, e)
+    trace = [(argmin.copy(), value)] if opts.keep_trace else None
+    return MedianResult(argmin, value, iterations, converged, non_unique, trace)
 
 
 def grid_oracle(cloud: PointCloud, objective, bounds=None, resolution: int = 15):

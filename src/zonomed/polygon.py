@@ -60,8 +60,8 @@ class ConvexPolygon2D:
 
 
 def _prune_collinear(verts: np.ndarray, tol: float = 1e-12) -> np.ndarray:
-    """Drop repeated and collinear vertices so strict convexity holds."""
-    scale = max(1.0, float(np.abs(verts).max()))
+    """Drop repeated and collinear vertices, relative to the polygon's extent."""
+    scale = float(np.ptp(verts, axis=0).max())
     keep = []
     k = len(verts)
     for i in range(k):

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import numpy as np
@@ -127,14 +128,63 @@ class TestMedianCommand:
         assert len(payload["trace"]) == payload["iterations"]
 
     @pytest.mark.parametrize(
-        "j, shape, scale", [(4, (9, 4), 1e110), (2, (10, 3), 1e160)], ids=["volumes", "squares"]
+        "objective, shape, scale, name",
+        [
+            (["vj", "--j", "4"], (9, 4), 1e110, "the V_4 value"),
+            (["vj", "--j", "2"], (10, 3), 1e160, "the V_2 value"),
+            (["polar"], (12, 2), 1e-300, "the polar value"),
+        ],
+        ids=["volumes", "squares", "polar"],
     )
-    def test_overflow_exit_2(self, tmp_path, monkeypatch, capsys, j, shape, scale):
-        # the face volumes w_S (j = 4) or the squared distances (1e160) pass
-        # float64; the solve used to drop every subset and return 0.0
+    def test_overflow_exit_2(self, tmp_path, monkeypatch, capsys, objective, shape, scale, name):
+        # the solve runs on the cloud divided by a power of two; only the
+        # value mapped back (about 1e440, 1e320 and 1e598) passes float64
         points = np.random.default_rng(0).standard_normal(shape) * scale
-        argv = ["median", "--objective", "vj", "--j", str(j), "--seed", "1"]
-        assert "overflows float64" in overflow_error(tmp_path, monkeypatch, capsys, argv, points)
+        argv = ["median", "--objective", *objective, "--seed", "1"]
+        err = overflow_error(tmp_path, monkeypatch, capsys, argv, points)
+        assert f"{name} " in err and "overflows float64" in err
+
+    def test_huge_l1_cloud_solves(self, tmp_path):
+        # V_1 is about 1e201; the start test used to call it an overflow
+        points = np.random.default_rng(0).standard_normal((12, 2))
+        path = tmp_path / "in.csv"
+        path.write_text("".join(f"{a!r},{b!r}\n" for a, b in (points * 1e200).tolist()))
+        argv = ["median", "--objective", "vj", "--j", "1", "--seed", "1", "--input", str(path)]
+        code, raw = run_to_file(argv, tmp_path / "out.json")
+        assert code == 0
+        base = zonomed.v1_median(zonomed.PointCloud(points))
+        np.testing.assert_allclose(json.loads(raw)["argmin"], base.argmin * 1e200, rtol=1e-12)
+
+    def test_power_of_two_sweep(self, tmp_path, monkeypatch, capsys):
+        """The cloud 2^k X for k = -1000 ... 1000: each solve repeats the
+        solve of X bit for bit, or exits 2 naming the value past float64."""
+        monkeypatch.chdir(tmp_path)
+        points = np.random.default_rng(0).standard_normal((6, 2))
+        runs = [(["vj", "--j", "1"], 1, "V_1"), (["vj", "--j", "2"], 2, "V_2"),
+                (["wills"], None, "Wills"), (["polar"], -2, "polar")]
+        start = time.perf_counter()
+        base = {}
+        for k in [0] + list(range(-1000, 1001, 100)):
+            rows = np.ldexp(points, k).tolist()
+            (tmp_path / "in.csv").write_text("".join(f"{a!r},{b!r}\n" for a, b in rows))
+            for objective, degree, name in runs:
+                code = main(["median", "--seed", "1", "--input", "in.csv", "--output", "out.json",
+                             "--objective", *objective])
+                err = capsys.readouterr().err
+                if code == 2:
+                    assert err.startswith(f"zonomed: error: the {name} value ") and err.count("\n") == 1
+                    assert "overflows float64" in err
+                    continue
+                assert code == 0 and err == ""
+                out = json.loads((tmp_path / "out.json").read_text())
+                got = (out["argmin"], out["value"], out["iterations"], out["non_unique"])
+                base.setdefault(degree, got)
+                if degree is not None:
+                    argmin, value, iterations, non_unique = base[degree]
+                    assert got == (np.ldexp(argmin, k).tolist(), float(np.ldexp(value, degree * k)),
+                                   iterations, non_unique)
+        assert len(base) == 4
+        assert time.perf_counter() - start < 15.0
 
     def test_wills_objective(self, tri_csv, tmp_path):
         out = tmp_path / "res.json"
@@ -224,6 +274,28 @@ class TestGaussCommand:
         assert names == [f"trace[{i}].det" for i in range(len(names))]
         assert sorted(p.name for p in tmp_path.iterdir()) == ["big.json"]
 
+    @pytest.mark.parametrize(
+        "mean, argv, plain_mean, plain_argv",
+        [
+            (0.0, ["--u", "1e-160,0,0"], 0.0, ["--u", "1,0,0"]),
+            (0.0, ["--u", "1e200,1e200,0"], 0.0, ["--u", "1,1,0"]),
+            (1e-160, ["--spherize"], 1.0, ["--spherize"]),
+        ],
+        ids=["tiny-u", "huge-u", "tiny-mean"],
+    )
+    def test_direction_of_tiny_or_huge_vector(self, tmp_path, mean, argv, plain_mean, plain_argv):
+        # the norm is taken of v / max|v|, so it neither underflows nor
+        # overflows (a RuntimeWarning fails the run)
+        def run(mean, argv):
+            path = tmp_path / "state.json"
+            path.write_text(json.dumps({"mean": [mean, 0.0, 0.0], "cov": np.diag([1.0, 2.0, 3.0]).tolist()}))
+            code, raw = run_to_file(["gauss", "--input", str(path)] + argv, tmp_path / "out.json")
+            payload = json.loads(raw)
+            del payload["config"]
+            return code, payload
+
+        assert run(mean, argv) == run(plain_mean, plain_argv)
+
     def test_negative_max_iter_exit_2(self, gauss_json, capsys):
         assert main(["gauss", "--input", gauss_json, "--spherize", "--max-iter", "-3"]) == 2
         assert "max_iter must be nonnegative, got -3" in capsys.readouterr().err
@@ -286,6 +358,25 @@ class TestEmpiricalCommand:
         payload = json.loads(raw)
         assert payload["inside_fraction"] >= 0.99
         assert payload["area_rel_error"] < 1e-12
+
+    @pytest.mark.parametrize("k", [-20, -60, -400])
+    def test_theorem1_on_a_scaled_square(self, tmp_path, k):
+        # the symmetral's and the pruning's tolerances are relative to the
+        # polygon's size; absolute floors emptied the symmetral of a 1e-6 square
+        def run(k):
+            path = tmp_path / "square.json"
+            square = np.ldexp([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]], k)
+            path.write_text(json.dumps({"vertices": square.tolist()}))
+            argv = ["empirical", "theorem1", "--polygon", str(path), "--u", "1,1",
+                    "--n", "2000", "--seed", "4"]
+            code, raw = run_to_file(argv, tmp_path / "rep.json")
+            assert code == 0
+            return json.loads(raw)
+
+        base, scaled = run(0), run(k)
+        for key in ("inside_fraction", "chi_square_dof"):
+            assert scaled[key] == base[key]
+        assert scaled["area_rel_error"] <= 1e-12
 
     def test_explore_emits_one_line_per_step(self, sample_csv, tmp_path):
         out = tmp_path / "steps.jsonl"

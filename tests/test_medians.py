@@ -1,5 +1,6 @@
 """The V_j-median family, Wills and polar medians, and the grid oracle."""
 
+import functools
 import math
 
 import numpy as np
@@ -23,15 +24,22 @@ from zonomed import (
 from zonomed import medians
 from zonomed.directions import sphere_directions
 from zonomed.medians import (
-    _cloud_scale,
     _face_forms,
     _face_value,
     _nelder_mead,
+    _normalized,
     _polar_evaluator,
     _start_points,
 )
 from zonomed.zonotope import unit_ball_volume, wills_of_generators
 from conftest import refined_grid_minimum, rotation_matrix, subset_volume_sum
+
+
+def _cloud_scale(points):
+    """1 + the cloud's largest distance from its mean: the unit in which
+    the bounds below were set."""
+    center = points.mean(axis=0)
+    return 1.0 + float(np.sqrt(((points - center) ** 2).sum(axis=1)).max())
 
 
 class TestVjObjective:
@@ -404,8 +412,10 @@ def _full_multistart_best(cloud, opts):
     evaluate = _polar_evaluator(cloud.points, sphere_directions(d, 1024, seed=opts.seed))
     negative = lambda x: -evaluate(x)[0]
     step = 0.05 * _cloud_scale(cloud.points)
+    pts, e = _normalized(cloud.points)
     best = -math.inf
-    for x in _start_points(cloud, opts, extra=(cloud.points.mean(axis=0),)):
+    for x in _start_points(pts, opts, extra=(pts.mean(axis=0),)):
+        x = np.ldexp(x, e)
         fx = negative(x)
         for _ in range(3):
             options = {
@@ -548,6 +558,38 @@ class TestEquivariance:
         base = vd_median(PointCloud(pts), opts)
         moved = vd_median(PointCloud(pts @ R.T + t), opts)
         assert np.linalg.norm(moved.argmin - (R @ base.argmin + t)) <= 10 * opts.tolerance
+
+    @settings(max_examples=12, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), d=_polar_dims, n=st.integers(4, 9),
+           k=st.integers(-300, 300))
+    def test_power_of_two_scaling_is_bitwise(self, seed, d, n, k):
+        """Every solve sees the cloud divided by a power of two, so solving
+        X 2^k repeats the solve of X: the argmin comes back as
+        ldexp(argmin, k) bit for bit, the V_j value as ldexp(value, jk) and
+        the polar value as ldexp(value, -dk)."""
+        pts = _mixed_cloud(np.random.default_rng(seed), n, d)
+        solves = [(functools.partial(vj_median, j=j), j) for j in range(1, d + 1)]
+        for solve, degree in solves + [(polar_median, -d)]:
+            base, moved = solve(PointCloud(pts)), solve(PointCloud(np.ldexp(pts, k)))
+            _assert_scaled(moved, base, k, degree)
+
+    @pytest.mark.parametrize("k", [-40, -50])
+    def test_small_cloud_reaches_the_unit_cloud_answer(self, k):
+        # the V_1, V_2 and V_3 argmins used to stop 5.4e-3, 3.3e-2 and 0.15
+        # off at k = -40 (0.13, 0.25 and 0.48 at -50), marked converged
+        pts = np.random.default_rng(0).standard_normal((9, 3))
+        for j in (1, 2, 3):
+            base = vj_median(PointCloud(pts), j)
+            _assert_scaled(vj_median(PointCloud(np.ldexp(pts, k)), j), base, k, j)
+
+
+def _assert_scaled(moved, base, k, degree):
+    value = np.ldexp(base.value, degree * k)
+    assert np.array_equal(moved.argmin, np.ldexp(base.argmin, k))
+    if abs(value) >= np.finfo(float).tiny:  # a subnormal value keeps fewer bits
+        assert moved.value == value
+    assert (moved.iterations, moved.converged, moved.non_unique) == (
+        base.iterations, base.converged, base.non_unique)
 
 
 def test_solver_options_reject_nan_tolerance():
@@ -757,7 +799,7 @@ def test_l1_face_forms_hold_no_normal_bases():
     ],
 )
 def test_stage_ends_when_a_step_leaves_the_value_unchanged(order, points):
-    # Far from the origin the stage floor max(1e-3 eps, 1e-14 scale) falls
+    # Far from the origin the stage floor max(1e-3 eps, 1e-14 spread) falls
     # below the rounding unit of |x|: accepted steps left x where it was
     # until all 10 000 Newton steps were spent and converged was false.
     r = _solve(PointCloud(points), order)

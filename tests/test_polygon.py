@@ -71,6 +71,13 @@ class TestZonotopePolygon:
         with pytest.raises(ValueError):
             zonotope_polygon_2d(Zonotope([[1.0, 0.0, 0.0]]))
 
+    def test_small_generators_keep_every_vertex(self):
+        # the collinearity test is relative to the polygon's extent; with an
+        # absolute floor every vertex of a 1e-6 polygon was dropped
+        gens = np.random.default_rng(0).standard_normal((6, 2))
+        small = zonotope_polygon_2d(Zonotope(np.ldexp(gens, -20)))
+        assert len(small.vertices) == len(zonotope_polygon_2d(Zonotope(gens)).vertices) == 12
+
     @pytest.mark.parametrize("seed", range(8))
     def test_area_perimeter_match_intrinsic(self, seed):
         rng = np.random.default_rng(seed)
