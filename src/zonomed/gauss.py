@@ -40,8 +40,7 @@ class GaussianState:
             raise ValueError(f"covariance shape {cov.shape} does not match mean ({d})")
         if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(cov))):
             raise ValueError("mean and covariance must be finite")
-        scale = max(1.0, float(np.abs(cov).max()))
-        if np.abs(cov - cov.T).max() > _SYM_TOL * scale:
+        if np.abs(cov - cov.T).max() > _SYM_TOL * np.abs(cov).max():
             raise ValueError("covariance is not symmetric")
         cov = 0.5 * (cov + cov.T)
         eigs = np.linalg.eigvalsh(cov)

@@ -57,10 +57,6 @@ _SOLVE_BYTES = 1 << 29
 # planar surrogate on 1024 equal-angle directions, so this must stay 1024.
 _POLAR_DIRECTIONS = 1024
 
-# Bytes of the bool temporary in which the polar evaluator ranks one slab of
-# directions; a cloud of up to 1024 points is ranked in one slab.
-_RANK_BYTES = 1 << 20
-
 
 @dataclass
 class SolverOptions:
@@ -161,11 +157,11 @@ def _probe_directions(points: np.ndarray, extra=()) -> np.ndarray:
     return np.vstack([dirs, -np.asarray(dirs)])
 
 
-def _detect_flat(objective, x: np.ndarray, value: float, points: np.ndarray, extra=()) -> bool:
-    """True when the objective is flat (to _FLAT_REL) along some probe direction."""
-    threshold = _FLAT_REL * abs(value)
-    return any(abs(objective(x + _PROBE_STEP * u) - value) <= threshold
-               for u in _probe_directions(points, extra))
+def _detect_flat(values, x: np.ndarray, value: float, points: np.ndarray, extra=()) -> bool:
+    """True when the objective is flat (to _FLAT_REL) along some probe
+    direction; ``values`` maps the (B, d) batch of probes to their values."""
+    probes = x + _PROBE_STEP * _probe_directions(points, extra)
+    return bool(np.any(np.abs(np.asarray(values(probes)) - value) <= _FLAT_REL * abs(value)))
 
 
 def _start_points(pts: np.ndarray, opts: SolverOptions, extra=()) -> list[np.ndarray]:
@@ -299,7 +295,7 @@ def _face_median(pts: np.ndarray, e: int, orders, opts: SolverOptions, constant:
     # direction at x points along it.
     _, _, H = _face_value(groups, x, 1e-6, derivatives=True)
     softest = np.linalg.eigh(H)[1][:, 0]
-    non_unique = _detect_flat(objective, x, value, pts, (softest,))
+    non_unique = _detect_flat(lambda ys: [objective(y) for y in ys], x, value, pts, (softest,))
     trace = [(np.ldexp(y, e), _scaled(objective(y), top, name))
              for y in path] if opts.keep_trace else None
     value = _scaled(value, top, name)
@@ -337,19 +333,39 @@ def wills_median(cloud: PointCloud, opts: SolverOptions | None = None) -> Median
     return _face_median(pts, e, range(1, cloud.dim + 1), opts or SolverOptions(), constant=1.0)
 
 
+def _ranks(c: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """For the (M, n) table c, each row sorted, and t of shape (B, M): the
+    count of c[r] below t[b, r], for every b and r.
+
+    A branch-free lower-bound search: each of its ceil(log2(n + 1)) steps
+    halves the range of every rank, with one gather and one comparison over
+    all B x M columns at once.
+    """
+    m, n = c.shape
+    flat = c.reshape(-1)
+    base = pos = np.arange(0, m * n, n)
+    size = n + 1  # the rank lies in pos - base + [0, size)
+    while size > 1:
+        half = size // 2
+        pos = pos + (flat[half - 1:].take(pos) < t) * half  # compares c[pos + half - 1]
+        size -= half
+    return pos - base
+
+
 def _polar_evaluator(points: np.ndarray, directions: np.ndarray):
-    """The polar surrogate sa * mean_u h_u(x)^(-d) and its a.e. gradient, as
-    one function of x built once per cloud.
+    """The polar surrogate sa * mean_u h_u(x)^(-d), as one function built once
+    per cloud that maps a (B, d) batch of points to their (B,) values.
 
     Each direction's projections c_i = <u, x_i - m> (m the cloud mean) are
     sorted once, with prefix sums S_k.  At x, t = <u, x - m> has rank k, the
-    count of c_i < t, and the width h_u = sum_i |t - c_i| = t(2k - n) + S_n - 2 S_k
-    has gradient (2k - n) u.  A zero width makes the value infinite.
+    count of c_i < t (_ranks, O(M log n) per point), and the width is
+    h_u = sum_i |t - c_i| = t(2k - n) + S_n - 2 S_k.  A zero width makes the
+    value infinite.  Each point's t is its own matrix-vector product, so a
+    point's value has the same bits alone as in any batch.
 
     The two tables, c and S_n - 2 S_k, take 8 M (2n + 1) bytes, built in
     place; past _SOLVE_BYTES (n above 32 767 at M = 1024) the cloud is
-    refused before either is built.  Each call compares t with c a slab of
-    directions at a time, in a bool temporary of at most _RANK_BYTES.
+    refused before either is built.
     """
     n, d = points.shape
     m = len(directions)
@@ -361,44 +377,46 @@ def _polar_evaluator(points: np.ndarray, directions: np.ndarray):
     center = points.mean(axis=0)
     c = directions @ (points - center).T  # (M, n)
     c.sort(axis=1)
-    rows = np.arange(m)
     rest = np.zeros((m, n + 1))
     np.cumsum(c, axis=1, out=rest[:, 1:])
     total = rest[:, n:].copy()
     rest *= -2.0
     rest += total  # S_n - 2 S_k at rank k
+    rest = rest.reshape(-1)
+    rows = np.arange(0, m * (n + 1), n + 1)
     sa = d * unit_ball_volume(d)  # the surface measure of S^(d-1)
-    slab = max(1, _RANK_BYTES // n)
 
-    def evaluate(x) -> tuple[float, np.ndarray]:
-        t = directions @ (x - center)
-        k = np.empty(m, dtype=np.intp)
-        for lo in range(0, m, slab):
-            cut = slice(lo, lo + slab)
-            k[cut] = np.count_nonzero(c[cut] < t[cut, None], axis=1)
-        slope = 2 * k - n
-        h = t * slope + rest[rows, k]
-        if not h.min() > 0.0:
-            return math.inf, np.zeros(d)
-        p = h ** (-float(d))
-        return sa / m * float(p.sum()), (-d * sa / m) * ((p / h * slope) @ directions)
+    def evaluate(xs: np.ndarray) -> np.ndarray:
+        t = np.empty((len(xs), m))
+        for b, x in enumerate(xs):
+            t[b] = directions @ (x - center)
+        k = _ranks(c, t)
+        h = t * (2 * k - n) + rest.take(k + rows)
+        finite = h.min(axis=1) > 0.0
+        h[~finite] = 1.0  # a zero width's power would warn; its value is set below
+        values = sa / m * (h ** (-float(d))).sum(axis=1)
+        values[~finite] = math.inf
+        return values
 
     return evaluate
 
 
 class _MaxFev(Exception):
-    """The objective was called once more after ``maxfev`` calls."""
+    """A point was asked for once more after ``maxfev`` of them."""
 
 
-def _nelder_mead(f, simplex, xatol, fatol, maxfev):
-    """Minimize f by Nelder-Mead (Nelder & Mead 1965; Lagarias et al. 1998)
+def _nelder_mead(simplex, xatol, fatol, maxfev):
+    """Minimize by Nelder-Mead (Nelder & Mead 1965; Lagarias et al. 1998)
     from ``simplex`` ((N + 1, N)): reflect 1, expand 2, contract and shrink
-    1/2, the vertices re-sorted by value after every step.  It stops once
-    every vertex is within ``xatol`` of the best in each coordinate and
-    ``fatol`` in value, or at the call that would pass ``maxfev``, leaving
-    that step unfinished.  Returns (x, f(x), calls, calls < maxfev): step for
-    step, and so bit for bit, scipy 1.17's ``minimize(method="Nelder-Mead")``
-    given ``initial_simplex``, ``xatol``, ``fatol`` and ``maxfev``.
+    1/2, the vertices re-sorted by value after every step.
+
+    A generator: it yields each point to evaluate and is sent its value
+    (``_lockstep`` drives it).  It stops once every vertex is within
+    ``xatol`` of the best in each coordinate and ``fatol`` in value, or at
+    the point that would pass ``maxfev``, leaving that step unfinished.
+    Returns (x, f(x), calls, calls < maxfev): step for step, and so bit for
+    bit, scipy 1.17's ``minimize(method="Nelder-Mead")`` given
+    ``initial_simplex``, ``xatol``, ``fatol`` and ``maxfev``.
     """
     sim = np.array(simplex, dtype=float)
     N = sim.shape[1]
@@ -410,11 +428,11 @@ def _nelder_mead(f, simplex, xatol, fatol, maxfev):
         if calls >= maxfev:
             raise _MaxFev
         calls += 1
-        return f(x)
+        return (yield x)
 
     try:
         for k in range(N + 1):
-            fsim[k] = func(sim[k])
+            fsim[k] = yield from func(sim[k])
     except _MaxFev:
         pass
     for _ in range(2):  # twice, as scipy does: an unstable argsort may reorder ties
@@ -427,33 +445,51 @@ def _nelder_mead(f, simplex, xatol, fatol, maxfev):
         try:
             xbar = np.add.reduce(sim[:-1], 0) / N
             xr = 2.0 * xbar - sim[-1]
-            fxr = func(xr)
+            fxr = yield from func(xr)
             if fxr < fsim[0]:
                 xe = 3.0 * xbar - 2.0 * sim[-1]
-                fxe = func(xe)
+                fxe = yield from func(xe)
                 sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
             elif fxr < fsim[-2]:
                 sim[-1], fsim[-1] = xr, fxr
             else:
                 if fxr < fsim[-1]:  # outside contraction
                     xc = 1.5 * xbar - 0.5 * sim[-1]
-                    fxc = func(xc)
+                    fxc = yield from func(xc)
                     shrink = not fxc <= fxr
                 else:  # inside contraction
                     xc = 0.5 * xbar + 0.5 * sim[-1]
-                    fxc = func(xc)
+                    fxc = yield from func(xc)
                     shrink = not fxc < fsim[-1]
                 if not shrink:
                     sim[-1], fsim[-1] = xc, fxc
                 else:
                     for j in range(1, N + 1):
                         sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])
-                        fsim[j] = func(sim[j])
+                        fsim[j] = yield from func(sim[j])
         except _MaxFev:
             pass
         ind = np.argsort(fsim)
         sim, fsim = np.take(sim, ind, 0), np.take(fsim, ind, 0)
     return sim[0], np.min(fsim), calls, calls < maxfev
+
+
+def _lockstep(values, rounds) -> list:
+    """Run ``_nelder_mead`` generators side by side: each pass sends the
+    pending point of every live round to ``values``, which maps a (B, d)
+    batch to B values, in one call.  Returns each round's result, in order."""
+    rounds = list(rounds)
+    results = [None] * len(rounds)
+    sent = dict.fromkeys(range(len(rounds)))  # None starts a round
+    while sent:
+        pending = {}
+        for i, value in sent.items():
+            try:
+                pending[i] = rounds[i].send(value)
+            except StopIteration as stop:
+                results[i] = stop.value
+        sent = dict(zip(pending, values(np.array(list(pending.values()))))) if pending else {}
+    return results
 
 
 def polar_median(cloud: PointCloud, opts: SolverOptions | None = None) -> MedianResult:
@@ -466,11 +502,13 @@ def polar_median(cloud: PointCloud, opts: SolverOptions | None = None) -> Median
     by 2^e (_normalized), so every width is relative to the spread.  Every
     start runs one loose round from a simplex _SCREEN_STEP wide, stopped at
     a width of _SCREEN_XATOL and a value spread of _SCREEN_FATOL (1 + |f|),
-    f the value at the start.  The best screened point (ties to the
-    lexicographically smaller) gets one round from a simplex 1e-2 wide,
-    stopped at a width of 0.1 ``opts.tolerance`` and a spread of 1e-13
-    (1 + |f|); its success flag is ``converged``.  ``iterations`` counts
-    evaluations in both.  The argmin maps back by 2^e, the value by 2^-de.
+    f the value at the start; the rounds run in lockstep (_lockstep), so
+    each evaluator call ranks one point of every live round.  The best
+    screened point (ties to the lexicographically smaller) gets one round
+    from a simplex 1e-2 wide, stopped at a width of 0.1 ``opts.tolerance``
+    and a spread of 1e-13 (1 + |f|); its success flag is ``converged``.
+    ``iterations`` counts evaluations in both.  The argmin maps back by 2^e,
+    the value by 2^-de.
     """
     opts = opts or SolverOptions()
     d = cloud.dim
@@ -480,22 +518,24 @@ def polar_median(cloud: PointCloud, opts: SolverOptions | None = None) -> Median
     directions = sphere_directions(d, _POLAR_DIRECTIONS, seed=opts.seed)
     evaluate = _polar_evaluator(pts, directions)
 
-    def negative(x):
-        return -evaluate(x)[0]
+    def negative(xs):
+        return -evaluate(xs)
 
-    def nelder_mead(start, step, xatol, fatol):
+    def nelder_mead(starts, step, xatol, fatol):
         # The first simplex spans a share of the spread, not of |start|, so
         # a start near the origin of a wide cloud still moves.
-        simplex = np.vstack([start, start + step * np.eye(d)])
-        fatol = fatol * (1.0 + abs(negative(start)))
-        return _nelder_mead(negative, simplex, xatol, fatol, opts.max_iter)
+        fatols = fatol * (1.0 + np.abs(negative(np.array(starts))))
+        return _lockstep(negative, [
+            _nelder_mead(np.vstack([s, s + step * np.eye(d)]), xatol, f, opts.max_iter)
+            for s, f in zip(starts, fatols)
+        ])
 
     starts = _start_points(pts, opts, extra=(pts.mean(axis=0),))
-    screened = [nelder_mead(s, _SCREEN_STEP, _SCREEN_XATOL, _SCREEN_FATOL) for s in starts]
+    screened = nelder_mead(starts, _SCREEN_STEP, _SCREEN_XATOL, _SCREEN_FATOL)
     winner = min(screened, key=lambda r: (r[1], tuple(r[0])))[0]
-    best_x, _, calls, converged = nelder_mead(winner, 1e-2, 0.1 * opts.tolerance, 1e-13)
+    [(best_x, _, calls, converged)] = nelder_mead([winner], 1e-2, 0.1 * opts.tolerance, 1e-13)
     iterations = calls + sum(r[2] for r in screened)
-    value = evaluate(best_x)[0]
+    value = float(evaluate(best_x[None])[0])
     non_unique = _detect_flat(negative, best_x, -value, pts)
     value = _scaled(value, -d * e, "the polar value")
     argmin = np.ldexp(best_x, e)

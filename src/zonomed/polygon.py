@@ -31,7 +31,7 @@ class ConvexPolygon2D:
             raise ValueError("a polygon needs at least 3 vertices")
         if not np.all(np.isfinite(verts)):
             raise ValueError("vertices must be finite")
-        edges = np.roll(verts, -1, axis=0) - verts
+        edges, _ = _rescaled(np.roll(verts, -1, axis=0) - verts)
         nxt = np.roll(edges, -1, axis=0)
         crosses = edges[:, 0] * nxt[:, 1] - edges[:, 1] * nxt[:, 0]
         if np.any(crosses <= 0.0):
@@ -59,22 +59,28 @@ class ConvexPolygon2D:
         return np.array([[v[:, 0].min(), v[:, 0].max()], [v[:, 1].min(), v[:, 1].max()]])
 
 
+def _rescaled(v: np.ndarray) -> tuple[np.ndarray, int]:
+    """(v / 2^s, s), 2^s the power of two of max|v| (s = 0 for v = 0): exact
+    while normal, and products of the entries neither under- nor overflow."""
+    s = int(np.frexp(np.abs(v).max())[1])
+    return np.ldexp(v, -s), s
+
+
 def _prune_collinear(verts: np.ndarray, tol: float = 1e-12) -> np.ndarray:
-    """Drop repeated and collinear vertices, relative to the polygon's extent."""
-    scale = float(np.ptp(verts, axis=0).max())
+    """Drop repeated and collinear vertices, relative to the polygon's extent;
+    the tests run on the edges divided by a power of two (_rescaled)."""
+    incoming, shift = _rescaled(verts - np.roll(verts, 1, axis=0))  # row i: v_i - v_(i-1)
+    scale = math.ldexp(float(np.ptp(verts, axis=0).max()), -shift)
     keep = []
     k = len(verts)
     for i in range(k):
-        prev = verts[i - 1]
-        cur = verts[i]
-        nxt = verts[(i + 1) % k]
-        if np.linalg.norm(cur - prev) <= tol * scale:
+        e0, e1 = incoming[i], incoming[(i + 1) % k]
+        if np.linalg.norm(e0) <= tol * scale:
             continue
-        e0, e1 = cur - prev, nxt - cur
         cross = e0[0] * e1[1] - e0[1] * e1[0]
         if cross <= tol * scale * scale:
             continue
-        keep.append(cur)
+        keep.append(verts[i])
     return np.asarray(keep)
 
 
@@ -101,7 +107,9 @@ def zonotope_polygon_2d(zonotope: Zonotope) -> ConvexPolygon2D:
             flipped.append(g)
     if not flipped:
         raise FlatZonotopeError("all generators are zero")
-    flipped = np.asarray(flipped)
+    # merged and tested divided by the power of two of max|g|, so that
+    # cross products of tiny or huge generators neither under- nor overflow
+    flipped, e = _rescaled(np.asarray(flipped))
     order = np.argsort(np.arctan2(flipped[:, 1], flipped[:, 0]), kind="stable")
     flipped = flipped[order]
     # merge exactly parallel neighbours into a single edge vector
@@ -113,7 +121,7 @@ def zonotope_polygon_2d(zonotope: Zonotope) -> ConvexPolygon2D:
             merged.append(g.copy())
     if len(merged) < 2:
         raise FlatZonotopeError("generators are all parallel")
-    merged = np.asarray(merged)
+    merged = np.ldexp(merged, e)
     forward = base + np.vstack([np.zeros(2), np.cumsum(merged, axis=0)])
     backward = forward[-1] - np.cumsum(merged, axis=0)
     verts = np.vstack([forward, backward[:-1]])

@@ -28,6 +28,14 @@ class TestGaussianState:
         with pytest.raises(ValueError):
             GaussianState([0.0, 0.0], [[1.0, 0.4], [0.1, 1.0]])
 
+    @pytest.mark.parametrize("scale", [1e-12, 1.0, 1e12])
+    def test_symmetry_is_relative_to_the_covariance(self, scale):
+        # 10% asymmetric is rejected and 1e-14 accepted, at any scale
+        with pytest.raises(ValueError, match="not symmetric"):
+            GaussianState([0.0, 0.0], scale * np.array([[1.0, 0.0], [0.1, 1.0]]))
+        s = GaussianState([0.0, 0.0], scale * np.array([[1.0, 0.5 + 1e-14], [0.5, 2.0]]))
+        np.testing.assert_allclose(s.cov, s.cov.T, atol=0.0)
+
     def test_rejects_indefinite(self):
         with pytest.raises(ValueError):
             GaussianState([0.0, 0.0], [[1.0, 0.0], [0.0, -0.5]])

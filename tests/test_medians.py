@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from zonomed import (
     DegenerateCloudError,
@@ -26,9 +27,11 @@ from zonomed.directions import sphere_directions
 from zonomed.medians import (
     _face_forms,
     _face_value,
+    _lockstep,
     _nelder_mead,
     _normalized,
     _polar_evaluator,
+    _ranks,
     _start_points,
 )
 from zonomed.zonotope import unit_ball_volume, wills_of_generators
@@ -253,7 +256,7 @@ def _cross_error(count: int) -> float:
     on ``count`` directions.  The polar area there is the integral of
     (2|cos t| + 2|sin t|)^-2 over [0, 2 pi], which is exactly 1."""
     cross = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
-    return abs(_polar_evaluator(cross, sphere_directions(2, count))(np.zeros(2))[0] - 1.0)
+    return abs(_polar_evaluator(cross, sphere_directions(2, count))(np.zeros((1, 2)))[0] - 1.0)
 
 
 class TestPolarObjective:
@@ -265,8 +268,8 @@ class TestPolarObjective:
             x = pts.mean(axis=0) + 0.1
             directions = sphere_directions(d, medians._POLAR_DIRECTIONS)
             for s in (3.0, 0.1, 7.5):
-                a = _polar_evaluator(pts, directions)(x)[0]
-                b = _polar_evaluator(x + s * (pts - x), directions)(x)[0]
+                a = _polar_evaluator(pts, directions)(x[None])[0]
+                b = _polar_evaluator(x + s * (pts - x), directions)(x[None])[0]
                 assert b == pytest.approx(a / s**d, rel=1e-14, abs=0.0)
 
     def test_cross_cloud_quadrature_oracle(self):
@@ -293,7 +296,7 @@ class TestPolarMedian:
         monkeypatch.setattr(medians, "_POLAR_DIRECTIONS", 256)
         r = polar_median(cloud, opts)
         directions = sphere_directions(2, 256, seed=3)
-        neg = lambda x: -_polar_reference(x, cloud.points, directions)[0]
+        neg = lambda x: -_polar_reference(x, cloud.points, directions)
         gp, gv, diag = refined_grid_minimum(cloud, neg, cell_target=2e-3, resolution=21)
         assert np.linalg.norm(r.argmin - gp) <= diag
         assert -r.value <= gv + 1e-12
@@ -325,21 +328,16 @@ class TestPolarMedian:
         # admits 50 points and refuses 51
         monkeypatch.setattr(medians, "_SOLVE_BYTES", 8 * m * 101)
         directions = sphere_directions(2, m)
-        assert math.isfinite(_polar_evaluator(pts[:50], directions)(np.ones(2))[0])
+        assert math.isfinite(_polar_evaluator(pts[:50], directions)(np.ones((1, 2)))[0])
         with pytest.raises(ZonomedError, match="polar tables of 1024 directions x 51 points"):
             _polar_evaluator(pts[:51], directions)
 
 
 def _polar_reference(x, points, directions):
-    """The surrogate, its a.e. gradient (sign sums) and the size of the
-    gradient's terms, straight from the definition."""
-    n, d = points.shape
-    proj = directions @ (x - points).T
-    widths = np.abs(proj).sum(axis=1)
-    sa = d * unit_ball_volume(d)
-    value = sa * np.mean(widths ** -float(d))
-    grad = sa * ((-d * widths ** (-d - 1.0) * np.sign(proj).sum(axis=1)) @ directions) / len(proj)
-    return value, grad, sa * np.mean(d * n * widths ** (-d - 1.0))
+    """The surrogate at x, straight from the definition."""
+    d = points.shape[1]
+    widths = np.abs(directions @ (x - points).T).sum(axis=1)
+    return d * unit_ball_volume(d) * np.mean(widths ** -float(d))
 
 
 def _polar_case(seed, d, n):
@@ -352,7 +350,26 @@ def _polar_case(seed, d, n):
     return rng, pts, directions, xs
 
 
+def _evaluator_ranks(pts, directions, xs):
+    """The ranks the evaluator takes at xs: each point's projections about
+    the cloud mean, searched in the sorted projections of the cloud."""
+    center = pts.mean(axis=0)
+    c = np.sort(directions @ (pts - center).T, axis=1)
+    return _ranks(c, np.array([directions @ (x - center) for x in xs]))
+
+
 _polar_dims = st.sampled_from([2, 3])
+
+
+@settings(max_examples=200, deadline=None)
+@given(m=st.integers(1, 6), n=st.integers(1, 40), b=st.integers(1, 5), data=st.data())
+def test_ranks_are_lower_bounds(m, n, b, data):
+    # small integers repeat projections and put t on them; -4 and 4 fall
+    # outside every row, for ranks 0 and n
+    c = np.sort(data.draw(arrays(float, (m, n), elements=st.integers(-3, 3).map(float))), axis=1)
+    t = data.draw(arrays(float, (b, m), elements=st.integers(-4, 4).map(float)))
+    expected = np.count_nonzero(c[None, :, :] < t[:, :, None], axis=2)
+    assert np.array_equal(_ranks(c, t), expected)
 
 
 class TestPolarEvaluator:
@@ -364,19 +381,40 @@ class TestPolarEvaluator:
             pts = np.round(4.0 * pts) / 4.0
             xs = np.vstack([xs, pts[:2], np.round(4.0 * xs) / 4.0])
         xs = np.vstack([xs, pts.mean(axis=0) + 20.0 * rng.standard_normal(d)])  # far out: many ranks 0 or n
+        values = _polar_evaluator(pts, directions)(xs)
+        for x, value in zip(xs, values):
+            expected = _polar_reference(x, pts, directions)
+            assert value == pytest.approx(expected, rel=1e-13, abs=0.0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        d=_polar_dims,
+        n=st.integers(1, 40),
+        size=st.integers(1, 9),
+        data=st.data(),
+    )
+    def test_batch_does_not_change_the_bits(self, seed, d, n, size, data):
+        # each point's value, alone and at any place in a batch of any size;
+        # a sample point of a one-point cloud (zero widths) and a NaN point
+        # are infinite, and must leave their neighbours' values alone
+        rng, pts, directions, _ = _polar_case(seed, d, n)
+        pool = np.vstack([pts.mean(axis=0) + 2.0 * rng.standard_normal((size, d)),
+                          pts[0], np.full(d, np.nan)])
+        batch = pool[data.draw(st.lists(st.integers(0, len(pool) - 1), min_size=size, max_size=size))]
         evaluate = _polar_evaluator(pts, directions)
-        for x in xs:
-            expected = _polar_reference(x, pts, directions)[0]
-            assert evaluate(x)[0] == pytest.approx(expected, rel=1e-13, abs=0.0)
+        values = evaluate(batch)
+        assert values.shape == (size,)
+        for x, value in zip(batch, values):
+            assert evaluate(x[None]).tobytes() == value.tobytes()
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), d=_polar_dims, n=st.integers(6, 40))
-    def test_gradient_matches_sign_sums(self, seed, d, n):
+    def test_slopes_match_sign_sums(self, seed, d, n):
+        # the width's slope 2k - n along u is the sign sum of <u, x - x_i>
         _, pts, directions, xs = _polar_case(seed, d, n)
-        evaluate = _polar_evaluator(pts, directions)
-        for x in xs:
-            _, expected, size = _polar_reference(x, pts, directions)
-            np.testing.assert_allclose(evaluate(x)[1], expected, rtol=0.0, atol=1e-13 * size)
+        signs = np.sign(np.einsum("md,bnd->bmn", directions, xs[:, None, :] - pts)).sum(axis=2)
+        assert np.array_equal(2 * _evaluator_ranks(pts, directions, xs) - n, signs)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_ranks_exact_next_to_a_sample_point(self, seed):
@@ -386,20 +424,17 @@ class TestPolarEvaluator:
         _, pts, _, _ = _polar_case(seed, 2, 50)
         directions = sphere_directions(2, 1024)
         x = pts[0] - [0.0, 4e-12 * _cloud_scale(pts)]
-        _, expected, size = _polar_reference(x, pts, directions)
-        got = _polar_evaluator(pts, directions)(x)[1]
-        np.testing.assert_allclose(got, expected, rtol=0.0, atol=1e-13 * size)
+        expected = np.count_nonzero(directions @ (x - pts).T > 0.0, axis=1)
+        assert np.array_equal(_evaluator_ranks(pts, directions, [x])[0], expected)
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), d=_polar_dims, n=st.integers(6, 40))
     def test_translation_invariant(self, seed, d, n):
         rng, pts, directions, xs = _polar_case(seed, d, n)
         v = 10.0 * rng.standard_normal(d)
-        evaluate = _polar_evaluator(pts, directions)
-        moved = _polar_evaluator(pts + v, directions)
-        for x in xs:
-            # not bitwise: translating rounds each coordinate, by up to 60 eps here
-            assert moved(x + v)[0] == pytest.approx(evaluate(x)[0], rel=1e-13, abs=0.0)
+        moved = _polar_evaluator(pts + v, directions)(xs + v)
+        # not bitwise: translating rounds each coordinate, by up to 60 eps here
+        np.testing.assert_allclose(moved, _polar_evaluator(pts, directions)(xs), rtol=1e-13, atol=0.0)
 
 
 def _full_multistart_best(cloud, opts):
@@ -410,7 +445,7 @@ def _full_multistart_best(cloud, opts):
 
     d = cloud.dim
     evaluate = _polar_evaluator(cloud.points, sphere_directions(d, 1024, seed=opts.seed))
-    negative = lambda x: -evaluate(x)[0]
+    negative = lambda x: -evaluate(x[None])[0]
     step = 0.05 * _cloud_scale(cloud.points)
     pts, e = _normalized(cloud.points)
     best = -math.inf
@@ -460,6 +495,22 @@ def test_polar_polish_passes_a_kink_near_the_winner():
     _assert_matches_full_multistart(cloud, SolverOptions(seed=0))
 
 
+@pytest.mark.parametrize("seed, n, d, argmin, value, iterations", [
+    (61, 50, 2, ["-0x1.46c012a51d33cp+0", "0x1.a9c4e7078015dp+0"], "0x1.c58ad4aff9713p-8", 826),
+    (62, 30, 3, ["-0x1.405b0a630bdfcp-2", "-0x1.c55b495173b28p-1", "-0x1.510d338dcc440p+0"],
+     "0x1.68317f1f463f7p-8", 1371),
+    (63, 2000, 2, ["0x1.8e49a009d6ae8p+0", "-0x1.2cafe4753af4dp-4"], "0x1.910ff686384e4p-21", 533),
+])
+def test_polar_median_is_pinned(seed, n, d, argmin, value, iterations):
+    """The exact output, as a solver that evaluates one point at a time and
+    runs the screen's rounds one after another returns it: the order and
+    batching of the evaluations must not move a bit."""
+    cloud = PointCloud(_mixed_cloud(np.random.default_rng(seed), n, d))
+    r = polar_median(cloud, SolverOptions(seed=seed))
+    assert [float(v).hex() for v in r.argmin] == argmin
+    assert (r.value.hex(), r.iterations, r.converged, r.non_unique) == (value, iterations, True, False)
+
+
 def _nelder_mead_case(seed, d, kind):
     """An objective of ``kind`` in d variables and a random first simplex."""
     rng = np.random.default_rng(seed)
@@ -477,7 +528,7 @@ def _nelder_mead_case(seed, d, kind):
     simplex = pts[0] + rng.standard_normal((d + 1, d))
     if rng.random() < 0.5:
         simplex[rng.integers(d + 1)] = pts[0]
-    return (lambda x: -evaluate(x)[0]), simplex
+    return (lambda x: -evaluate(x[None])[0]), simplex
 
 
 @settings(max_examples=300, deadline=None)
@@ -490,15 +541,17 @@ def _nelder_mead_case(seed, d, kind):
     fatol=st.sampled_from([0.0, 1e-8, 1e-3, 0.1]),
 )
 def test_nelder_mead_is_scipys(seed, d, kind, maxfev, xatol, fatol):
-    """The port returns scipy's x bits, value, call count and success flag,
-    with the call cap falling in the first vertices, a shrink or a step."""
+    """The port, driven by _lockstep, returns scipy's x bits, value, call
+    count and success flag, with the call cap falling in the first
+    vertices, a shrink or a step."""
     from scipy.optimize import minimize
 
     f, simplex = _nelder_mead_case(seed, d, kind)
     options = {"xatol": xatol, "fatol": fatol, "maxfev": maxfev, "initial_simplex": simplex}
     with np.errstate(all="ignore"):  # a -inf vertex makes -inf - -inf spreads
         want = minimize(f, simplex[0], method="Nelder-Mead", options=options)
-        x, fun, calls, success = _nelder_mead(f, simplex, xatol, fatol, maxfev)
+        rounds = [_nelder_mead(simplex, xatol, fatol, maxfev)]
+        [(x, fun, calls, success)] = _lockstep(lambda xs: [f(x) for x in xs], rounds)
     assert x.tobytes() == want.x.tobytes()
     assert float(fun).hex() == float(want.fun).hex()
     assert (calls, success) == (want.nfev, want.success)

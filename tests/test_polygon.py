@@ -78,6 +78,15 @@ class TestZonotopePolygon:
         small = zonotope_polygon_2d(Zonotope(np.ldexp(gens, -20)))
         assert len(small.vertices) == len(zonotope_polygon_2d(Zonotope(gens)).vertices) == 12
 
+    @pytest.mark.parametrize("scale", [1e-170, 1e-200, 1e-300])
+    def test_tiny_generators_are_not_parallel(self, scale):
+        # their cross products underflow; the merge test must not read 0 there
+        gens = np.random.default_rng(0).standard_normal((6, 2))
+        unit = zonotope_polygon_2d(Zonotope(gens)).vertices
+        tiny = zonotope_polygon_2d(Zonotope(scale * gens)).vertices
+        assert len(tiny) == 12
+        np.testing.assert_allclose(tiny / scale, unit, rtol=0.0, atol=1e-14)
+
     @pytest.mark.parametrize("seed", range(8))
     def test_area_perimeter_match_intrinsic(self, seed):
         rng = np.random.default_rng(seed)
