@@ -129,8 +129,14 @@ def zonotope_polygon_2d(zonotope: Zonotope) -> ConvexPolygon2D:
 
 
 def _segment_distances(points: np.ndarray, poly: ConvexPolygon2D) -> np.ndarray:
-    """Euclidean distance from each point to the polygon (0 inside)."""
-    v = poly.vertices
+    """Euclidean distance from each point to the polygon (0 inside).
+
+    Points and vertices are divided by the power of two of max|v| (_rescaled),
+    so squared edge lengths of a tiny or huge polygon neither under- nor
+    overflow, and the distances are mapped back: exact while normal.
+    """
+    v, s = _rescaled(poly.vertices)
+    points = np.ldexp(points, -s)
     edges = np.roll(v, -1, axis=0) - v
     edge_sq = np.einsum("ij,ij->i", edges, edges)
     rel = points[:, None, :] - v[None, :, :]  # (N, k, 2)
@@ -140,7 +146,7 @@ def _segment_distances(points: np.ndarray, poly: ConvexPolygon2D) -> np.ndarray:
     dist = np.sqrt(np.einsum("nkj,nkj->nk", foot, foot)).min(axis=1)
     crosses = edges[None, :, 0] * rel[:, :, 1] - edges[None, :, 1] * rel[:, :, 0]
     dist[np.all(crosses >= 0.0, axis=1)] = 0.0
-    return dist
+    return np.ldexp(dist, s)
 
 
 def distances_to_polygon(points, poly: ConvexPolygon2D) -> np.ndarray:

@@ -28,8 +28,12 @@ than the problem's own conditioning costs, unlike sqrt(det(G_S' G_S)),
 which squares the condition number.  An exact total is the correctly
 rounded sum of its terms: extraction (Rump, Ogita & Oishi 2008) compresses
 each buffer of terms, with no error, into a few partial sums, and math.fsum
-rounds the sum of those once.  The Monte Carlo estimator applies the same
-kernel to the projected generators of a whole batch of samples at once.
+rounds the sum of those once.
+
+The Monte Carlo estimator projects the generators by Gaussian j x d matrices
+M.  For j < d it applies the same kernel to the projected generators of a
+batch of draws at once; for j = d, det(M G_S) = det M det G_S, so it scales
+one exact V_d by each draw's |det M|, taken from the kernel's minors.
 """
 
 from __future__ import annotations
@@ -355,9 +359,12 @@ def mc_intrinsic_volume(
     """Monte Carlo estimate of V_j via random Gaussian projections.
 
     Draws j x d standard Gaussian matrices M, measures the j-volume of the
-    projected zonotope M Z (V_j of the generators G M' in R^j, by the exact
-    kernel, for a batch of samples at once), and rescales the sample mean by
-    (2 pi)^(j/2) / (j! vol_j(B_j)).
+    projected zonotope M Z, and rescales the sample mean by
+    (2 pi)^(j/2) / (j! vol_j(B_j)).  For j < d a draw's value is V_j of the
+    generators G M' in R^j, by the exact kernel, for a batch of draws at
+    once.  For j = d, det(M G_S) = det M det G_S for every d-subset S, so a
+    draw's value is |det M| V_d(Z): V_d comes once from the exact kernel and
+    det M from its minors.
 
     Returns the estimate with the standard error of the mean.
     """
@@ -373,12 +380,21 @@ def mc_intrinsic_volume(
     scale = (2.0 * math.pi) ** (j / 2) / (math.factorial(j) * unit_ball_volume(j))
     rng = np.random.default_rng(seed)
     vals = np.zeros(samples)
-    batch = max(1, _CHUNK // (m * j))
+    if j == d:
+        volume = intrinsic_volume_of_generators(G, d)
+        # the minor tables of a draw hold at most d C(d, d/2)^2 elements
+        batch = max(1, _CHUNK // (d * math.comb(d, d // 2) ** 2))
+    else:
+        batch = max(1, _CHUNK // (m * j))
     for start in range(0, samples, batch):
         M = rng.standard_normal((min(batch, samples - start), j, d))
-        H = G @ np.swapaxes(M, 1, 2)  # (b, m, j): row i is M g_i
-        for terms in _volume_terms(H, j):
-            vals[start : start + len(M)] += terms.sum(axis=0)
+        part = vals[start : start + len(M)]
+        if j == d:
+            part[:] = np.abs(_minors(M.transpose(1, 2, 0), d)[0, 0]) * volume
+        else:
+            H = G @ np.swapaxes(M, 1, 2)  # (b, m, j): row i is M g_i
+            for terms in _volume_terms(H, j):
+                part += terms.sum(axis=0)
     return MonteCarloEstimate.from_samples(vals, scale)
 
 

@@ -378,6 +378,25 @@ class TestEmpiricalCommand:
             assert scaled[key] == base[key]
         assert scaled["area_rel_error"] <= 1e-12
 
+    @pytest.mark.parametrize("scale", [1e-160, 1e150])
+    def test_theorem1_distances_on_an_extreme_square(self, tmp_path, scale):
+        # squared edge lengths of the 1e-160 square underflow unless the
+        # distances are computed on the polygon divided by a power of two; a
+        # RuntimeWarning fails the test
+        def run(scale):
+            path = tmp_path / "square.json"
+            square = scale * np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+            path.write_text(json.dumps({"vertices": square.tolist()}))
+            argv = ["empirical", "theorem1", "--polygon", str(path), "--u", "1,1",
+                    "--n", "2000", "--seed", "11"]
+            code, raw = run_to_file(argv, tmp_path / "rep.json")
+            assert code == 0
+            return json.loads(raw)
+
+        base, scaled = run(1.0), run(scale)
+        for key in ("inside_fraction", "chi_square_dof"):
+            assert scaled[key] == base[key]
+
     def test_explore_emits_one_line_per_step(self, sample_csv, tmp_path):
         out = tmp_path / "steps.jsonl"
         code = main(

@@ -141,6 +141,18 @@ class TestDistance:
         assert distances(1) == default
         assert distances(2 * len(poly.vertices) * len(pts)) == default
 
+    @pytest.mark.parametrize("k", [-1000, -531, -60, 60, 500, 1000])
+    def test_distances_scale_by_powers_of_two(self, k):
+        # computed on the polygon divided by its own power of two, so squared
+        # edge lengths of 2^-531 (about 1e-160) or 2^1000 do not leave float64
+        rng = np.random.default_rng(7)
+        poly = zonotope_polygon_2d(random_zonotope(rng, 2, 5))
+        pts = rng.uniform(-4.0, 4.0, size=(500, 2))
+        scaled = ConvexPolygon2D(np.ldexp(poly.vertices, k))
+        expected = np.ldexp(distances_to_polygon(pts, poly), k)
+        assert np.any(expected > 0.0)
+        np.testing.assert_array_equal(distances_to_polygon(np.ldexp(pts, k), scaled), expected)
+
 
 class TestWillsIntegral:
     def test_unit_square(self):

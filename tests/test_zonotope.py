@@ -455,3 +455,83 @@ def test_mc_planar_order_matches_lexsort(monkeypatch, d):
     got = mc_intrinsic_volume(z, 2, 3000, seed=d)
     monkeypatch.setattr(zonotope, "_planar_terms", _lexsort_planar_terms)
     assert mc_intrinsic_volume(z, 2, 3000, seed=d) == got
+
+
+def _well_conditioned(rng, d):
+    """A d x d matrix Q diag(s) R, Q and R rotations, s uniform in [0.5, 2]:
+    ||M|| <= 2 and cond(M) <= 4."""
+    return (rotation_matrix(rng, d) * rng.uniform(0.5, 2.0, d)) @ rotation_matrix(rng, d)
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 5), extra=st.integers(0, 2),
+       repeats=st.integers(0, 3), k=st.sampled_from([-200, 0, 200]))
+def test_kernel_on_projected_generators(seed, d, extra, repeats, k):
+    # V_d(G M') = |det M| V_d(G), since det(M G_S) = det M det G_S for every
+    # d-subset S.  The kernel sees G M', whose generators are at most ||M|| = 2
+    # times longer, so the bound is 1e-12 of ||M||^d times the Hadamard sum of G.
+    rng = np.random.default_rng(seed)
+    base = rng.standard_normal((d + extra, d))
+    base = np.vstack([base, base[rng.integers(0, len(base), repeats)]])
+    M = _well_conditioned(rng, d)
+    gens = np.ldexp(base, k)
+    got = math.ldexp(intrinsic_volume_of_generators(gens @ M.T, d), -k * d)
+    expected = abs(np.linalg.det(M)) * math.ldexp(intrinsic_volume_of_generators(gens, d), -k * d)
+    assert abs(got - expected) <= 1e-12 * 2.0**d * _hadamard_bound(base, d)
+
+
+def _gaussian_scale(j):
+    return (2.0 * math.pi) ** (j / 2) / (math.factorial(j) * unit_ball_volume(j))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_mc_single_draw_is_the_definition(d, seed):
+    # one draw is scale_j V_j(G M1'), M1 the first j x d Gaussian matrix of
+    # the seed's stream.  j = d takes |det M1| V_d(G), and j < d adds the
+    # projected kernel's terms in plain floating point, so the two agree to
+    # 1e-12 of the Hadamard sum of the projected generators.
+    gens = np.random.default_rng(100 + seed).standard_normal((d + 3, d))
+    z = Zonotope(gens)
+    for j in range(1, d + 1):
+        projected = gens @ np.random.default_rng(seed).standard_normal((1, j, d))[0].T
+        est = mc_intrinsic_volume(z, j, 1, seed)
+        expected = intrinsic_volume_of_generators(projected, j)
+        tol = 1e-12 * _hadamard_bound(projected, j)
+        assert abs(est.estimate / _gaussian_scale(j) - expected) <= tol
+        assert (est.std_error, est.samples) == (0.0, 1)
+
+
+def _projected_batch_estimate(z, j, samples, seed):
+    """The Monte Carlo estimate by V_j of each draw's projected generators,
+    summed term by term in batches of _CHUNK // (m j) draws."""
+    G = z.generators
+    m, d = G.shape
+    rng = np.random.default_rng(seed)
+    vals = np.zeros(samples)
+    batch = max(1, zonotope._CHUNK // (m * j))
+    for start in range(0, samples, batch):
+        M = rng.standard_normal((min(batch, samples - start), j, d))
+        for terms in zonotope._volume_terms(G @ np.swapaxes(M, 1, 2), j):
+            vals[start : start + len(M)] += terms.sum(axis=0)
+    return MonteCarloEstimate.from_samples(vals, _gaussian_scale(j))
+
+
+@pytest.mark.parametrize("d, m, samples", [(2, 30, 500), (3, 40, 2000), (4, 12, 3000), (5, 7, 400)])
+def test_mc_below_top_order_is_the_projected_kernel(d, m, samples):
+    # (3, 40) and (4, 12) take several batches
+    z = Zonotope(np.random.default_rng(d).standard_normal((m, d)))
+    for j in range(1, d):
+        got = mc_intrinsic_volume(z, j, samples, seed=7 + j)
+        expected = _projected_batch_estimate(z, j, samples, seed=7 + j)
+        assert (got.estimate, got.std_error) == (expected.estimate, expected.std_error)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 5])
+def test_mc_top_order_does_not_depend_on_batch(monkeypatch, d):
+    # each draw's |det M| V_d is formed on its own, and the Gaussian stream
+    # does not depend on how it is split into batches
+    z = Zonotope(np.random.default_rng(d).standard_normal((d + 4, d)))
+    default = mc_intrinsic_volume(z, d, 3000, seed=9)
+    monkeypatch.setattr(zonotope, "_CHUNK", 1)
+    assert mc_intrinsic_volume(z, d, 3000, seed=9) == default
