@@ -47,7 +47,7 @@ for name, r in rows:
 
 print()
 print("cross-check the L1 median against a brute-force grid:")
-gp, gv = grid_oracle(cloud, lambda x: vj_objective(x, cloud, 1), resolution=41)
+gp, gv = grid_oracle(cloud, lambda X: vj_objective(X, cloud, 1), resolution=41)
 print(f"   grid best {np.round(gp, 3)} value {gv:.6f}")
 print(f"   solver    {np.round(r1.argmin, 3)} value {r1.value:.6f}")
 

@@ -7,6 +7,7 @@ included), 3 solver did not converge (the result is still written).
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import math
@@ -260,7 +261,11 @@ def _cmd_explore(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parse_args keeps no
+    state between calls, and main is called many times by in-process
+    callers."""
     parser = argparse.ArgumentParser(
         prog="zonomed",
         description="Zonotope medians and Steiner symmetrization of measures.",

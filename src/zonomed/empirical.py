@@ -26,6 +26,7 @@ from .gauss import _bisector, _check_unit, _complement_regression, complement_ba
 from .polygon import (
     ConvexPolygon2D,
     _prune_collinear,
+    _rescaled,
     clip_polygon_to_rect,
     distances_to_polygon,
     polygon_area,
@@ -270,7 +271,13 @@ def polygon_steiner_symmetral_2d(poly: ConvexPolygon2D, u) -> ConvexPolygon2D:
 
 
 def sample_uniform_polygon(poly: ConvexPolygon2D, n: int, seed: int) -> EmpiricalSample:
-    """Exact uniform draws on a convex polygon via fan triangulation."""
+    """Exact uniform draws on a convex polygon via fan triangulation.
+
+    The triangles' areas come from the fan's edges divided by one power of
+    two (_rescaled), so their products neither under- nor overflow and the
+    triangle probabilities have the same bits for the polygon scaled by any
+    power of two in the normal range.
+    """
     if n < 1:
         raise ValueError("need at least one draw")
     verts = poly.vertices
@@ -279,7 +286,9 @@ def sample_uniform_polygon(poly: ConvexPolygon2D, n: int, seed: int) -> Empirica
     anchor = verts[0]
     b = verts[1:-1] - anchor
     c = verts[2:] - anchor
-    tri_areas = 0.5 * np.abs(b[:, 0] * c[:, 1] - b[:, 1] * c[:, 0])
+    fan, _ = _rescaled(verts[1:] - anchor)
+    bs, cs = fan[:-1], fan[1:]
+    tri_areas = 0.5 * np.abs(bs[:, 0] * cs[:, 1] - bs[:, 1] * cs[:, 0])
     rng = np.random.default_rng(seed)
     which = rng.choice(len(tri_areas), size=n, p=tri_areas / tri_areas.sum())
     a1 = rng.random(n)
@@ -334,17 +343,21 @@ def theorem1_check(
 
 
 def _chi_square_uniformity(points: np.ndarray, poly: ConvexPolygon2D):
-    (xmin, xmax), (ymin, ymax) = poly.bounding_box()
+    # counted on the polygon and the points divided by one power of two
+    # (_rescaled), so the cell areas neither under- nor overflow
+    verts, shift = _rescaled(poly.vertices)
+    points = np.ldexp(points, -shift)
+    (xmin, ymin), (xmax, ymax) = verts.min(axis=0), verts.max(axis=0)
     xs = np.linspace(xmin, xmax, _CHI_SQUARE_GRID + 1)
     ys = np.linspace(ymin, ymax, _CHI_SQUARE_GRID + 1)
     counts, _, _ = np.histogram2d(points[:, 0], points[:, 1], bins=[xs, ys])
-    total_area = poly.area
+    total_area = polygon_area(verts)
     n = len(points)
     chi = 0.0
     dof = 0
     for i in range(_CHI_SQUARE_GRID):
         for jj in range(_CHI_SQUARE_GRID):
-            cell = clip_polygon_to_rect(poly.vertices, xs[i], xs[i + 1], ys[jj], ys[jj + 1])
+            cell = clip_polygon_to_rect(verts, xs[i], xs[i + 1], ys[jj], ys[jj + 1])
             expected = n * polygon_area(cell) / total_area
             if expected >= 5.0:
                 chi += (counts[i, jj] - expected) ** 2 / expected

@@ -27,10 +27,12 @@ import numpy as np
 
 from .directions import sphere_directions
 from .errors import DegenerateCloudError, ZonomedError
-# wills_of_generators is not called here, but both kernel names stay
-# importable from this module: perfbench/tracing.py wraps them.
+# intrinsic_volume_of_generators and wills_of_generators are not called
+# here, but both kernel names stay importable from this module:
+# perfbench/tracing.py wraps them.
 from .zonotope import (
     PointCloud,
+    discrepancy_volumes,
     intrinsic_volume_of_generators,
     unit_ball_volume,
     wills_of_generators,
@@ -113,14 +115,21 @@ class MedianProblem:
         return polar_median(self.cloud, self.options)
 
 
-def vj_objective(x, cloud: PointCloud, j: int) -> float:
-    """V_j(Z(x)): for j=1 the distance sum, for j=d the Oja determinant sum."""
-    x = np.asarray(x, dtype=float).reshape(-1)
-    if x.size != cloud.dim:
-        raise ValueError(f"point has dimension {x.size}, cloud has {cloud.dim}")
+def vj_objective(x, cloud: PointCloud, j: int):
+    """V_j(Z(x)): for j=1 the distance sum, for j=d the Oja determinant sum.
+
+    ``x`` is one point, which gives a float, or a (k, d) batch of points,
+    which gives an array of their k values; each value has the bits of its
+    point's value alone.
+    """
+    x = np.asarray(x, dtype=float)
+    X = x.reshape(1, -1) if x.ndim <= 1 else x
+    if X.ndim != 2 or X.shape[1] != cloud.dim:
+        raise ValueError(f"points have shape {x.shape}, cloud has dimension {cloud.dim}")
     if not 1 <= j <= cloud.dim:
         raise ValueError(f"need 1 <= j <= d, got j={j}, d={cloud.dim}")
-    return intrinsic_volume_of_generators(x[None, :] - cloud.points, j)
+    values = discrepancy_volumes(cloud.points, X, j)
+    return float(values[0]) if x.ndim <= 1 else values
 
 
 def _normalized(points: np.ndarray) -> tuple[np.ndarray, int]:
@@ -546,10 +555,13 @@ def polar_median(cloud: PointCloud, opts: SolverOptions | None = None) -> Median
 def grid_oracle(cloud: PointCloud, objective, bounds=None, resolution: int = 15):
     """Exhaustive grid evaluation; the best grid point is the reference answer.
 
-    ``bounds`` is a (d, 2) array of [lo, hi] per axis and must contain the
-    region of interest (defaults to the cloud's bounding box padded by 10%);
-    ``resolution`` is the number of grid points per axis.  Ties resolve to
-    the lexicographically smallest point.  Intended for tests and small d.
+    ``objective`` maps a (k, d) batch of points to their k values, and the
+    whole grid goes through it in one call.  ``bounds`` is a (d, 2) array of
+    [lo, hi] per axis and must contain the region of interest (defaults to
+    the cloud's bounding box padded by 10%); ``resolution`` is the number of
+    grid points per axis.  Ties resolve to the lexicographically smallest
+    point, and a NaN never wins: with no value below inf the result is
+    (None, inf).  Intended for tests and small d.
     """
     pts = cloud.points
     if bounds is None:
@@ -562,11 +574,11 @@ def grid_oracle(cloud: PointCloud, objective, bounds=None, resolution: int = 15)
     if np.any(res < 2):
         raise ValueError("resolution must be at least 2 per axis")
     axes = [np.linspace(bounds[i, 0], bounds[i, 1], res[i]) for i in range(cloud.dim)]
-    best_point = None
-    best_value = math.inf
-    for combo in itertools.product(*axes):
-        x = np.asarray(combo)
-        v = objective(x)
-        if v < best_value:
-            best_point, best_value = x, v
-    return best_point, best_value
+    # rows in itertools.product order, so the first minimum is the smallest point
+    grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, cloud.dim)
+    values = np.asarray(objective(grid), dtype=float)
+    below = values < math.inf  # false for NaN
+    if not below.any():
+        return None, math.inf
+    best = int(np.argmin(np.where(below, values, math.inf)))
+    return grid[best].copy(), float(values[best])

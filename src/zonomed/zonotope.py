@@ -19,8 +19,16 @@ j-volume of the parallelepiped G_S spans.  One kernel computes it:
   V_j = sum_{S'} sum_{l > max S'} ||w_{S'} ^ g_l|| over the (j-1)-subsets S'.
   In colexicographic order the S' with largest element l are the first
   C(l, j-2) rows of the (j-2)-minor table, each wedged with g_l, and each
-  such block is wedged with every later generator at once.  No array has a
-  row per (j-1)- or j-subset, and no result depends on how blocks are sliced.
+  such block is wedged with every later generator at once.  A block that
+  fills the kernel's temporary budget is wedged alone, in row slices; a run
+  of consecutive smaller blocks is wedged in one pair of calls, so a call's
+  fixed cost does not grow with the number of small blocks.  No array has a
+  row per (j-1)- or j-subset, and no result depends on how blocks are
+  sliced or grouped.
+
+The kernel takes a batch of generator sets at once: the Monte Carlo
+estimator's projected draws, or the discrepancy zonotopes at a batch of
+query points (discrepancy_volumes), each summed exactly on its own.
 
 Minors keep the accuracy of the generators themselves: a zonotope 1e-7 thin
 in one direction, or generators 1e-6 apart in angle, lose no more digits
@@ -170,16 +178,18 @@ def _wedge_table(d: int, t: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _wedge(W: np.ndarray, G: np.ndarray, t: int) -> np.ndarray:
-    """(t+1)-minors (C(d, t+1), r, k, b) of each of r t-subsets joined by each
-    of k generators, from the t-minors W (C(d, t), r, b) of the subsets and
-    the generators G (d, k, b), for b generator sets.
+    """(t+1)-minors (C(d, t+1), ...) of t-subsets joined by generators, from
+    the t-minors W (C(d, t), ...) of the subsets and the generators G
+    (d, ...), whose trailing axes broadcast against each other: W[:, :, None]
+    and G[:, None] join every subset with every generator, equal shapes join
+    them pair by pair.
 
     Products and sums are formed elementwise, not through BLAS: a fused
     multiply-add would break the exact antisymmetry of the 2 x 2 minors that
     makes V_2 permutation-exact.
     """
     src, coord = _wedge_table(G.shape[0], t)
-    terms = W[src][:, :, :, None] * G[coord][:, :, None]
+    terms = W[src] * G[coord]
     X = terms[0]
     for p in range(1, len(terms)):
         if p % 2:
@@ -189,18 +199,44 @@ def _wedge(W: np.ndarray, G: np.ndarray, t: int) -> np.ndarray:
     return X
 
 
+def _runs(counts, width):
+    """Split consecutive blocks of counts[i] rows into runs [start, stop)
+    whose temporaries, rows times width(start) elements, stay within _CHUNK;
+    a block too large for that runs alone."""
+    start, rows = 0, 0
+    for i, count in enumerate(counts):
+        if i > start and (rows + count) * width(start) > _CHUNK:
+            yield start, i
+            start, rows = i, 0
+        rows += count
+    if len(counts) > start:
+        yield start, len(counts)
+
+
+def _ragged(counts) -> tuple[np.ndarray, np.ndarray]:
+    """(i, k) for every k < counts[i], in order of i and then k."""
+    counts = np.asarray(counts, dtype=np.intp)
+    owner = np.repeat(np.arange(len(counts)), counts)
+    return owner, np.arange(len(owner)) - (np.cumsum(counts) - counts)[owner]
+
+
 def _minors(G: np.ndarray, t: int) -> np.ndarray:
     """t-minors (C(d, t), C(m, t), b) of the t-subsets of G (d, m, b) in colex
-    order, one block per largest element l from the first C(l, t-1) rows of
-    the (t-1)-minor table; the one 0-minor is 1."""
-    if t == 0:
-        return np.ones((1, 1, G.shape[2]))
+    order; the one 0-minor is 1 and the 1-minors are G.  The block with
+    largest element l is the first C(l, t-1) rows of the (t-1)-minor table
+    joined with g_l.  Consecutive blocks whose products fit in _CHUNK
+    elements are wedged in one call, each row paired with its own
+    generator, and a larger block is wedged alone."""
+    if t <= 1:
+        return G if t else np.ones((1, 1, G.shape[2]))
     lower = _minors(G, t - 1)
-    blocks = [
-        _wedge(lower[:, : math.comb(l, t - 1)], G[:, l : l + 1], t - 1)[:, :, 0]
-        for l in range(t - 1, G.shape[1])
-    ]
-    return np.concatenate(blocks, axis=1)
+    d, m, b = G.shape
+    counts = [math.comb(l, t - 1) for l in range(t - 1, m)]
+    tables = []
+    for start, stop in _runs(counts, lambda start: t * math.comb(d, t) * b):
+        owner, rows = _ragged(counts[start:stop])
+        tables.append(_wedge(lower[:, rows], G[:, t - 1 + start + owner], t - 1))
+    return tables[0] if len(tables) == 1 else np.concatenate(tables, axis=1)
 
 
 def _planar_terms(H: np.ndarray) -> np.ndarray:
@@ -230,9 +266,14 @@ def _volume_terms(H: np.ndarray, j: int):
     """Yield (k, b) arrays of nonnegative terms that sum to V_j of each of the
     b generator sets in H (b, m, d), for 1 <= j <= min(m, d).
 
-    The (j-1)-subsets come in one block per largest element, in row slices
-    that keep every temporary within _CHUNK elements.  A term adds its squared
-    minors coordinate by coordinate, so no term depends on _CHUNK.
+    The (j-1)-subsets come in blocks by largest element l.  Consecutive
+    blocks run together while their temporaries fit in _CHUNK elements, and
+    a block too large for that runs alone in row slices.  Each run or slice
+    takes one pair of wedges: its (j-1)-subsets, every row joined with its
+    own largest generator, are broadcast against the generators after the
+    run's first block, and the pairs whose generator does not follow the
+    row's own are dropped.  A term adds its squared minors coordinate by
+    coordinate, so no term depends on _CHUNK.
     """
     b, m, d = H.shape
     if j == 1:
@@ -243,13 +284,22 @@ def _volume_terms(H: np.ndarray, j: int):
         return
     G = np.ascontiguousarray(H.transpose(2, 1, 0))  # the 1-minors, (d, m, b)
     lower = _minors(G, j - 2)
-    rows = max(1, _CHUNK // (j * math.comb(d, j) * m * b))
-    for l in range(j - 2, m - 1):
-        block = lower[:, : math.comb(l, j - 2)]
-        for s in range(0, block.shape[1], rows):
-            W = _wedge(block[:, s : s + rows], G[:, l : l + 1], j - 2)[:, :, 0]
-            X = _wedge(W, G[:, l + 1 :], j - 1).reshape(math.comb(d, j), -1, b)
-            yield np.abs(X[0]) if j == d else np.sqrt(sum(x * x for x in X))
+    counts = [math.comb(l, j - 2) for l in range(j - 2, m - 1)]
+
+    def width(start):  # temporary elements per (j-1)-subset of a run
+        return (j * math.comb(d, j) * (m + 1 - j - start) + (j - 1) * math.comb(d, j - 1)) * b
+
+    for start, stop in _runs(counts, width):
+        l = j - 2 + start
+        owner, first = _ragged(counts[start:stop])  # row i has largest element l + owner[i]
+        rows = max(1, _CHUNK // width(start))
+        for s in range(0, len(owner), rows):
+            block = owner[s : s + rows]
+            W = _wedge(lower[:, first[s : s + rows]], G[:, l + block], j - 2)
+            X = _wedge(W[:, :, None], G[:, None, l + 1 :], j - 1).reshape(math.comb(d, j), -1, b)
+            terms = np.abs(X[0]) if j == d else np.sqrt(sum(x * x for x in X))
+            later = block[:, None] <= np.arange(m - 1 - l)  # generator l + 1 + k follows row i
+            yield terms.compress(later.ravel(), axis=0)
 
 
 def intrinsic_volume(zonotope: Zonotope, j: int) -> float:
@@ -283,74 +333,105 @@ def intrinsic_volume_of_generators(generators: np.ndarray, j: int) -> float:
         return 1.0
     if j > G.shape[1] or G.shape[0] < j:
         return 0.0
-    e = math.frexp(float(np.max(np.abs(G))))[1]
-    t = 0
-    if j * e > _SAFE_EXPONENT:  # down to the edge of the range, no further
-        t = e - _SAFE_EXPONENT // j
-    elif j * e < -_SAFE_EXPONENT:  # up to order 1, where nothing can overflow
-        t = e
-    if t:
-        G = np.ldexp(G, -t)
+    return _volumes(G[None], j)[0]
+
+
+def discrepancy_volumes(points: np.ndarray, X: np.ndarray, j: int) -> np.ndarray:
+    """V_j of the discrepancy zonotope of ``points`` (n, d), generators x - x_i,
+    at each query point x of X (k, d), for 1 <= j <= d.
+
+    Each value has the bits of intrinsic_volume_of_generators(x - points, j):
+    every set is scaled by its own power of two and summed exactly on its
+    own.  The query points go through the kernel in batches whose
+    generators, and the minors of one j-subset of each, take at most
+    _CHUNK elements.
+    """
+    n, d = points.shape
+    if n < j:
+        return np.zeros(len(X))
+    batch = max(1, _CHUNK // (n * d * j * math.comb(d, j)))
+    return np.array(
+        [v for s in range(0, len(X), batch) for v in _volumes(X[s : s + batch, None, :] - points, j)]
+    )
+
+
+def _shift(top: float, j: int) -> int:
+    """t of the scaling 2^-t that brings max|g| = top into range for V_j: down
+    to the edge of the range, no further, or up to order 1, where nothing
+    can overflow."""
+    e = math.frexp(top)[1]
+    if j * e > _SAFE_EXPONENT:
+        return e - _SAFE_EXPONENT // j
+    return e if j * e < -_SAFE_EXPONENT else 0
+
+
+def _volumes(H: np.ndarray, j: int) -> list[float]:
+    """V_j of each generator set in H (b, m, d), 1 <= j <= min(m, d), each
+    scaled and summed as intrinsic_volume_of_generators does alone."""
+    shifts = [_shift(top, j) for top in np.abs(H).max(axis=(1, 2)).tolist()]
+    if any(shifts):
+        H = np.ldexp(H, -np.array(shifts)[:, None, None])
     with np.errstate(over="ignore", invalid="ignore"):  # inf and nan are caught below
         try:
-            total = math.ldexp(_exact_sum(_volume_terms(G[None], j)), j * t)
+            totals = [math.ldexp(v, j * t) for v, t in zip(_exact_sum(_volume_terms(H, j)), shifts)]
         except OverflowError:  # finite terms, too large a sum
-            total = math.inf
-    if not math.isfinite(total):
+            totals = [math.inf]
+    if not all(map(math.isfinite, totals)):
         raise OverflowError(f"computing V_{j} of these generators overflows float64")
-    return total
+    return totals
 
 
-def _exact_sum(blocks) -> float:
-    """math.fsum of every term of the arrays ``blocks``, bit for bit.
+def _exact_sum(blocks) -> list[float]:
+    """math.fsum of each column of the (k, b) arrays ``blocks``, bit for bit.
 
-    The terms pass through buffers of at most _CHUNK terms (or one block),
-    each compressed by _extract into a few floats with the same exact sum;
-    math.fsum rounds the sum of those once.  No array holds every term.
+    Blocks are held until they pass 1024 terms, fewer than math.fsum takes
+    faster than extraction; then _extract compresses them, with no error,
+    into a few rows with the same column sums.  math.fsum rounds each column
+    of the rows left once.  No array holds every term.
     """
-    partials: list[float] = []
-    pending: list[np.ndarray] = []
-    size = 0
+    held: list[np.ndarray] = []
     for block in blocks:
-        if pending and size + block.size > _CHUNK:
-            _extract(np.concatenate(pending), partials)
-            pending, size = [], 0
-        pending.append(block.ravel())
-        size += block.size
-    if pending:
-        _extract(np.concatenate(pending), partials)
-    return math.fsum(partials)
+        held.append(block)
+        if sum(h.size for h in held) > 1024:
+            terms = held[0] if len(held) == 1 else np.concatenate(held)
+            held = []
+            _extract(terms, held)
+    return [math.fsum(column) for column in np.concatenate(held).T.tolist()]
 
 
-def _extract(a: np.ndarray, partials: list[float]) -> None:
-    """Append to ``partials`` floats whose exact sum is that of ``a`` (which
-    is overwritten).
+def _extract(a: np.ndarray, partials: list[np.ndarray]) -> None:
+    """Append to ``partials`` (r, b) arrays whose exact column sums are those
+    of the (n, b) array ``a`` (which is overwritten).
 
     Extraction (Rump, Ogita & Oishi, SIAM J. Sci. Comput. 31, 2008): with
     max|a| < 2^e and 2^k >= n + 2, sigma = 2^(e+k) splits every term
     exactly into q = (sigma + a) - sigma, a multiple of 2^(e+k-53), and
-    a - q.  Every partial sum of the q is such a multiple below sigma, so
-    q.sum() is exact in any order.  The nonzero remainders are split again
-    until a few dozen are left, or until sigma would overflow, 2^(e+k-53)
+    a - q.  Every partial sum of a column of q is such a multiple below
+    sigma, so the column sums of q are exact in any order.  Rows whose
+    remainders are all zero are dropped and the rest split again until a
+    few dozen terms are left, or until sigma would overflow, 2^(e+k-53)
     would be subnormal, or a term is inf or nan; those are appended as they
     are.
     """
     while a.size > 32:
         top = float(np.max(np.abs(a)))
         if top == 0.0:
-            return
+            a = a[:0]
+            break
         if not math.isfinite(top):
             break
-        e = math.frexp(top)[1] + (a.size + 1).bit_length()
+        e = math.frexp(top)[1] + (len(a) + 1).bit_length()
         if not -969 <= e <= 1023:
             break
         sigma = math.ldexp(1.0, e)
         q = a + sigma
         q -= sigma
-        partials.append(float(q.sum()))
+        partials.append(q.sum(axis=0, keepdims=True))
         a -= q
-        a = a[a != 0.0]
-    partials.extend(a.tolist())
+        live = a.any(axis=1)
+        if not live.all():
+            a = a.compress(live, axis=0)
+    partials.append(a)
 
 
 def mc_intrinsic_volume(

@@ -73,8 +73,10 @@ def refined_grid_minimum(
     the window grows whenever the level's best point touches its boundary
     layer, and the next window is the padded bounding box of the ``beam``
     best grid points rather than a box around a single incumbent.  The
-    final level goes through grid_oracle itself.  Returns (point, value,
-    cell_diagonal) of the final, finest grid.
+    final level goes through grid_oracle itself.  ``objective`` maps a
+    (k, d) batch of points to their k values, and each level's grid goes
+    through it in one call.  Returns (point, value, cell_diagonal) of the
+    final, finest grid.
     """
     import itertools as _it
 
@@ -89,8 +91,7 @@ def refined_grid_minimum(
     def evaluate(lo_, hi_):
         axes = [np.linspace(lo_[i], hi_[i], resolution) for i in range(d)]
         grid = np.asarray(list(_it.product(*axes)))
-        values = np.asarray([objective(x) for x in grid])
-        return grid, values
+        return grid, np.asarray(objective(grid), dtype=float)
 
     for _ in range(120):
         cell = (hi - lo) / (resolution - 1)
@@ -118,14 +119,9 @@ def grid_value_band(objective, point: np.ndarray, radius: float) -> float:
 
     This is the value resolution of a grid with the given step: two
     candidate minimizers whose values differ by less than this band cannot
-    be told apart by that grid.
+    be told apart by that grid.  ``objective`` maps a (k, d) batch of points
+    to their k values; the point and its 2d probes go through it in one call.
     """
-    base = objective(point)
-    band = 0.0
-    d = point.size
-    for axis in range(d):
-        for sign in (-1.0, 1.0):
-            probe = point.copy()
-            probe[axis] += sign * radius
-            band = max(band, abs(objective(probe) - base))
-    return band
+    steps = radius * np.eye(point.size)
+    values = np.asarray(objective(np.vstack([point, point - steps, point + steps])), dtype=float)
+    return float(np.max(np.abs(values[1:] - values[0])))

@@ -152,14 +152,14 @@ def test_criterion_05_median_unification():
         n = cloud.n
         # L1 median vs refined grid, plus the independent norm-sum oracle
         r1 = v1_median(cloud, SolverOptions(tolerance=1e-10))
-        f_oracle = lambda x: float(np.sqrt(((x - cloud.points) ** 2).sum(axis=1)).sum())
+        f_oracle = lambda X: np.sqrt(((X[:, None, :] - cloud.points) ** 2).sum(axis=2)).sum(axis=1)
         good, matched, gv, diag = _solver_vs_grid(r1, f_oracle, cloud)
         ok = ok and good and r1.value <= gv + n * diag  # Lipschitz cell bound
         escapes += not matched
         checks += 1
         # Oja median vs refined grid
         rd = vd_median(cloud, SolverOptions(tolerance=1e-10))
-        good, matched, _, _ = _solver_vs_grid(rd, lambda x: vj_objective(x, cloud, cloud.dim), cloud)
+        good, matched, _, _ = _solver_vs_grid(rd, lambda X: vj_objective(X, cloud, cloud.dim), cloud)
         ok = ok and good
         escapes += not matched
         checks += 1
@@ -167,7 +167,7 @@ def test_criterion_05_median_unification():
         rng2 = np.random.default_rng(int(rng.integers(1 << 30)))
         cloud = PointCloud(rng2.normal(size=(int(rng2.integers(5, 9)), 3)))
         r2 = vj_median(cloud, 2, SolverOptions(tolerance=1e-8))
-        good, matched, _, _ = _solver_vs_grid(r2, lambda x: vj_objective(x, cloud, 2), cloud)
+        good, matched, _, _ = _solver_vs_grid(r2, lambda X: vj_objective(X, cloud, 2), cloud)
         ok = ok and good
         escapes += not matched
         checks += 1

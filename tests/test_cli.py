@@ -604,6 +604,38 @@ class TestDeterminism:
         assert a != b
 
 
+class TestParserReuse:
+    """main parses with one parser per process: repeated in-process calls
+    print, and exit, as a parser built for each call does."""
+
+    @staticmethod
+    def _run(capsys, argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # --help and usage errors
+            code = exc.code
+        out = capsys.readouterr()
+        return code, out.out, out.err
+
+    def test_repeated_calls_match_a_fresh_parser(self, gens_csv, capsys, monkeypatch):
+        cases = [
+            ["intrinsic", "--input", gens_csv],  # success, JSON on stdout
+            ["intrinsic", "--input", gens_csv, "--mc", "100"],  # input error: no --seed
+            ["intrinsic", "--mc", "100"],  # usage error: no --input
+            ["--help"],
+            ["empirical", "theorem1", "--help"],
+        ]
+        assert cli.build_parser() is cli.build_parser()
+        cached = [[self._run(capsys, argv) for _ in range(3)] for argv in cases]
+        monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+        fresh = [self._run(capsys, argv) for argv in cases]
+        for runs, want in zip(cached, fresh):
+            assert runs == [want] * 3
+        assert [code for code, _, _ in fresh] == [0, 2, 2, 0, 0]
+        assert "the following arguments are required: --input" in fresh[2][2]
+        assert "{median,intrinsic,gauss,empirical}" in fresh[3][1]
+
+
 class TestInputHandling:
     def test_header_auto_detect(self, tmp_path):
         with_header = tmp_path / "h.csv"

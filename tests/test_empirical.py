@@ -27,6 +27,7 @@ from zonomed import (
 )
 from zonomed.directions import random_direction, sphere_directions
 from zonomed.empirical import (
+    _chi_square_uniformity,
     _conditional_mean,
     _symmetry_statistic,
     _window_means,
@@ -427,6 +428,37 @@ class TestSampleUniformPolygon:
         b = sample_uniform_polygon(SQUARE, 100, seed=7)
         np.testing.assert_array_equal(a.draws, b.draws)
 
+    def test_draws_do_not_depend_on_scale(self):
+        # at 1e-160 the fan triangles' areas are subnormal; taken unscaled,
+        # they moved the 1e-160 draws by half the pentagon's size
+        angles = np.array([0.3, 1.1, 2.9, 3.7, 5.2])
+        pentagon = np.column_stack([1.3 * np.cos(angles), np.sin(angles)])
+        unit = sample_uniform_polygon(ConvexPolygon2D(pentagon), 20_000, seed=11).draws
+        for scale in (1e-160, 1e-161):
+            draws = sample_uniform_polygon(ConvexPolygon2D(pentagon * scale), 20_000, seed=11).draws
+            assert np.abs(draws / scale - unit).max() <= 1e-12 * np.abs(unit).max()
+        for k in (-531, 500):
+            draws = sample_uniform_polygon(ConvexPolygon2D(np.ldexp(pentagon, k)), 20_000, seed=11).draws
+            assert np.ldexp(draws, -k).tobytes() == unit.tobytes()
+
+    def test_normal_polygons_draw_as_from_unscaled_areas(self):
+        # a polygon like the benchmark's theorem1 job: the triangle
+        # probabilities, and so the draws, keep the bits of the areas taken
+        # from the unscaled fan
+        rng = np.random.default_rng(12)
+        angles = np.sort(rng.uniform(0.0, 2.0 * math.pi, size=9))
+        verts = np.column_stack([0.9 * np.cos(angles), 1.1 * np.sin(angles)])
+        poly = ConvexPolygon2D(verts)
+        b, c = verts[1:-1] - verts[0], verts[2:] - verts[0]
+        areas = 0.5 * np.abs(b[:, 0] * c[:, 1] - b[:, 1] * c[:, 0])
+        ref = np.random.default_rng(13)
+        which = ref.choice(len(areas), size=5000, p=areas / areas.sum())
+        a1, a2 = ref.random(5000), ref.random(5000)
+        flip = a1 + a2 > 1.0
+        a1[flip], a2[flip] = 1.0 - a1[flip], 1.0 - a2[flip]
+        expected = verts[0] + a1[:, None] * b[which] + a2[:, None] * c[which]
+        assert sample_uniform_polygon(poly, 5000, seed=13).draws.tobytes() == expected.tobytes()
+
 
 class TestTheorem1:
     def test_square_diagonal(self):
@@ -451,6 +483,17 @@ class TestTheorem1:
         report = theorem1_check(SQUARE, DIAG_U, 5000, RegressorConfig("knn", k=70), seed=10)
         assert report.chi_square >= 0.0
         assert report.chi_square_dof > 0
+
+    def test_chi_square_does_not_depend_on_scale(self):
+        # the cells of a square scaled by 1e-160 have subnormal areas; taken
+        # unscaled, they read the statistic as 46.48 instead of 45.76, and at
+        # 1e-300 the square's area was 0
+        draws = sample_uniform_polygon(SQUARE, 2000, seed=11).draws
+        unit = _chi_square_uniformity(draws, SQUARE)
+        for scale in (1e-160, 1e-300):
+            square = ConvexPolygon2D(SQUARE.vertices * scale)
+            chi, dof = _chi_square_uniformity(draws * scale, square)
+            assert dof == unit[1] and chi == pytest.approx(unit[0], rel=1e-12)
 
 
 class TestNormReduction:

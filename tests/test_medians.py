@@ -22,7 +22,7 @@ from zonomed import (
     vj_objective,
     wills_median,
 )
-from zonomed import medians
+from zonomed import medians, zonotope
 from zonomed.directions import sphere_directions
 from zonomed.medians import (
     _face_forms,
@@ -92,6 +92,41 @@ class TestVjObjective:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             vj_objective([1.0], PointCloud([[0.0, 0.0]]), 1)
+        with pytest.raises(ValueError):
+            vj_objective(np.zeros((4, 3)), PointCloud([[0.0, 0.0]]), 1)
+        with pytest.raises(ValueError):
+            vj_objective(np.zeros((4, 1, 2)), PointCloud([[0.0, 0.0]]), 1)
+
+    def test_one_point_gives_a_float_and_a_batch_an_array(self):
+        cloud = PointCloud(np.random.default_rng(30).standard_normal((5, 2)))
+        assert isinstance(vj_objective([0.1, 0.2], cloud, 2), float)
+        values = vj_objective(np.zeros((3, 2)), cloud, 2)
+        assert isinstance(values, np.ndarray) and values.shape == (3,)
+        assert vj_objective(np.zeros((0, 2)), cloud, 2).shape == (0,)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 5), n=st.integers(1, 8),
+           k=st.integers(1, 12), s=st.sampled_from([-300, 0, 300]),
+           chunk=st.sampled_from([zonotope._CHUNK, 64]))
+    def test_batch_matches_single_calls(self, seed, d, n, k, s, chunk):
+        # every order, clouds and query points scaled by 2^s, repeated query
+        # points and query points on the cloud; at a block size of 64 the
+        # batch is split into several kernel calls
+        rng = np.random.default_rng(seed)
+        pts = np.ldexp(rng.standard_normal((n, d)), s)
+        X = np.ldexp(rng.standard_normal((k, d)), s)
+        X = np.vstack([X, X[rng.integers(0, k, 2)], pts[rng.integers(0, n, 2)]])
+        cloud = PointCloud(pts)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(zonotope, "_CHUNK", chunk)
+            for j in range(1, d + 1):
+                try:
+                    single = [vj_objective(x, cloud, j) for x in X]
+                except OverflowError:  # V_j of 2^300 sets passes float64 for j >= 4
+                    with pytest.raises(OverflowError, match=f"V_{j}"):
+                        vj_objective(X, cloud, j)
+                    continue
+                assert vj_objective(X, cloud, j).tobytes() == np.array(single).tobytes()
 
     def test_accurate_at_oja_argmin(self):
         # the median sits on subset flats, where sqrt(det Gram) read
@@ -119,7 +154,7 @@ class TestV1Median:
         cloud = PointCloud(rng.normal(size=(7, 2)))
         r = v1_median(cloud, SolverOptions(tolerance=1e-10))
         gp, gv, diag = refined_grid_minimum(
-            cloud, lambda x: vj_objective(x, cloud, 1)
+            cloud, lambda X: vj_objective(X, cloud, 1)
         )
         assert np.linalg.norm(r.argmin - gp) <= diag
         assert r.value <= gv + 1e-12
@@ -171,7 +206,7 @@ class TestVdMedian:
         rng = np.random.default_rng(6)
         cloud = PointCloud(rng.normal(size=(4, 2)))
         r = vd_median(cloud)
-        gp, gv, diag = refined_grid_minimum(cloud, lambda x: vj_objective(x, cloud, 2))
+        gp, gv, diag = refined_grid_minimum(cloud, lambda X: vj_objective(X, cloud, 2))
         assert np.linalg.norm(r.argmin - gp) <= diag
         assert r.value <= gv + 1e-12
 
@@ -213,7 +248,7 @@ class TestVjMedian:
         rng = np.random.default_rng(10)
         cloud = PointCloud(rng.normal(size=(6, 3)))
         r = vj_median(cloud, 2, SolverOptions(tolerance=1e-8))
-        gp, gv, diag = refined_grid_minimum(cloud, lambda x: vj_objective(x, cloud, 2))
+        gp, gv, diag = refined_grid_minimum(cloud, lambda X: vj_objective(X, cloud, 2))
         assert np.linalg.norm(r.argmin - gp) <= diag
         assert r.value <= gv + 1e-10
 
@@ -244,7 +279,7 @@ class TestWillsMedian:
     def test_matches_grid_oracle(self):
         rng = np.random.default_rng(11)
         cloud = PointCloud(rng.normal(size=(5, 2)))
-        objective = lambda x: wills_of_generators(x[None, :] - cloud.points, 2)
+        objective = lambda X: [wills_of_generators(x - cloud.points, 2) for x in X]
         r = wills_median(cloud, SolverOptions(tolerance=1e-8))
         gp, gv, diag = refined_grid_minimum(cloud, objective)
         assert np.linalg.norm(r.argmin - gp) <= diag
@@ -296,7 +331,7 @@ class TestPolarMedian:
         monkeypatch.setattr(medians, "_POLAR_DIRECTIONS", 256)
         r = polar_median(cloud, opts)
         directions = sphere_directions(2, 256, seed=3)
-        neg = lambda x: -_polar_reference(x, cloud.points, directions)
+        neg = lambda X: [-_polar_reference(x, cloud.points, directions) for x in X]
         gp, gv, diag = refined_grid_minimum(cloud, neg, cell_target=2e-3, resolution=21)
         assert np.linalg.norm(r.argmin - gp) <= diag
         assert -r.value <= gv + 1e-12
@@ -561,7 +596,7 @@ class TestGridOracle:
     def test_constant_region_value(self):
         tri = np.array([[0.0, 0.0], [2.0, 0.0], [0.0, 2.0]])
         cloud = PointCloud(tri)
-        objective = lambda x: vj_objective(x, cloud, 2)
+        objective = lambda X: vj_objective(X, cloud, 2)
         _, value = grid_oracle(
             cloud, objective, bounds=[[0.5, 0.9], [0.5, 0.9]], resolution=5
         )
@@ -570,7 +605,7 @@ class TestGridOracle:
     def test_refinement_never_worse(self):
         rng = np.random.default_rng(14)
         cloud = PointCloud(rng.normal(size=(5, 2)))
-        objective = lambda x: vj_objective(x, cloud, 1)
+        objective = lambda X: vj_objective(X, cloud, 1)
         bounds = [[-2.0, 2.0], [-2.0, 2.0]]
         _, coarse = grid_oracle(cloud, objective, bounds, resolution=9)
         _, fine = grid_oracle(cloud, objective, bounds, resolution=17)  # nested
@@ -580,13 +615,13 @@ class TestGridOracle:
         rng = np.random.default_rng(15)
         cloud = PointCloud(rng.normal(size=(6, 2)))
         r = v1_median(cloud, SolverOptions(tolerance=1e-10))
-        gp, _, diag = refined_grid_minimum(cloud, lambda x: vj_objective(x, cloud, 1))
+        gp, _, diag = refined_grid_minimum(cloud, lambda X: vj_objective(X, cloud, 1))
         assert np.linalg.norm(r.argmin - gp) <= diag
 
     def test_resolution_validation(self):
         cloud = PointCloud([[0.0, 0.0], [1.0, 1.0]])
         with pytest.raises(ValueError):
-            grid_oracle(cloud, lambda x: 0.0, resolution=1)
+            grid_oracle(cloud, lambda X: np.zeros(len(X)), resolution=1)
 
 
 class TestEquivariance:

@@ -1,6 +1,6 @@
-"""Working sets of the sample commands' layers and of the polar tables: each
-holds at most a fixed budget beyond its inputs and its output, whatever the
-sample's size.
+"""Working sets of the sample commands' layers, of the polar tables and of
+the subset-volume kernel: each holds at most a fixed budget beyond its
+inputs and its output, whatever the sample's size.
 
 tracemalloc sees the buffers numpy allocates, so a temporary as large as
 the input shows here as bytes, not as a resident-set reading that depends
@@ -16,8 +16,9 @@ from zonomed import cli, empirical
 from zonomed.cli import _read_csv, main
 from zonomed.directions import sphere_directions
 from zonomed.empirical import EmpiricalSample, NormReduction, RegressorConfig, _conditional_mean
-from zonomed.medians import _polar_evaluator
+from zonomed.medians import _polar_evaluator, vj_objective
 from zonomed.polygon import ConvexPolygon2D, distances_to_polygon
+from zonomed.zonotope import PointCloud, intrinsic_volume_of_generators
 
 MB = 2**20
 
@@ -94,3 +95,28 @@ def test_polar_evaluation():
     values, peak = traced_peak(lambda: evaluate(np.array([[0.1, -0.2]])))
     assert np.all(np.isfinite(values))
     assert peak <= 1.5 * MB
+
+
+# Peaks of exact V_3 at (m, d) = (400, 3) and of V_4 at (100, 4) when the
+# kernel wedged one block per largest element and summed _CHUNK-term
+# buffers: 2.60 and 2.68 MB.  Grouping blocks must not raise them.
+KERNEL_PEAK = {(400, 3, 3): 2.60 * MB, (100, 4, 4): 2.68 * MB}
+
+
+def test_exact_kernel():
+    for (m, d, j), bound in KERNEL_PEAK.items():
+        gens = np.random.default_rng(m + d).standard_normal((m, d))
+        value, peak = traced_peak(lambda: intrinsic_volume_of_generators(gens, j))
+        assert math.isfinite(value) and peak <= bound
+
+
+def test_batched_objective():
+    # a 13^3 grid of query points at (n, d, j) = (7, 3, 3): the batches
+    # keep every temporary within _CHUNK elements, so the batch holds no
+    # more than the kernel's budget above, beside the grid and its values
+    cloud = PointCloud(np.random.default_rng(9).standard_normal((7, 3)))
+    axis = np.linspace(-2.0, 2.0, 13)
+    grid = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1).reshape(-1, 3)
+    values, peak = traced_peak(lambda: vj_objective(grid, cloud, 3))
+    assert values.shape == (2197,)
+    assert peak <= KERNEL_PEAK[400, 3, 3] + values.nbytes

@@ -364,7 +364,7 @@ def test_exact_sum_is_fsum_of_the_terms(gens, chunk):
                 with pytest.raises(OverflowError):
                     zonotope._exact_sum(terms)
                 continue
-            got = zonotope._exact_sum(terms)
+            [got] = zonotope._exact_sum(terms)
             assert got == expected or (math.isnan(got) and math.isnan(expected))
 
 
@@ -375,18 +375,26 @@ _term = st.one_of(
 
 
 @settings(max_examples=150, deadline=None)
-@given(values=st.lists(_term, max_size=200))
+@given(values=st.lists(_term, min_size=1, max_size=200))
 def test_extract_keeps_the_exact_sum(values):
-    # subnormal, overflowing and infinite terms take the float path
+    # subnormal, overflowing and infinite terms take the float path.  The
+    # values repeat to 4096 rows, so that extraction runs rather than
+    # handing them all to fsum, in three columns: the values, the values
+    # reversed and halved, and zeros
+    terms = np.resize(np.array(values, dtype=float), 4096)
+    a = np.column_stack([terms, terms[::-1] * 0.5, np.zeros_like(terms)])
+    columns = a.T.tolist()
     partials = []
-    zonotope._extract(np.array(values, dtype=float), partials)
-    try:
-        expected = math.fsum(values)
-    except OverflowError:
-        with pytest.raises(OverflowError):
-            math.fsum(partials)
-        return
-    assert math.fsum(partials) == expected
+    zonotope._extract(a, partials)
+    got = np.concatenate(partials).T.tolist()
+    for column, rows in zip(columns, got):
+        try:
+            expected = math.fsum(column)
+        except OverflowError:
+            with pytest.raises(OverflowError):
+                math.fsum(rows)
+            continue
+        assert math.fsum(rows) == expected
 
 
 @settings(max_examples=60, deadline=None)
