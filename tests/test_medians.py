@@ -623,6 +623,25 @@ class TestGridOracle:
         with pytest.raises(ValueError):
             grid_oracle(cloud, lambda X: np.zeros(len(X)), resolution=1)
 
+    def test_ties_nan_and_no_finite_value(self):
+        # the whole grid goes through one call; ties go to the smallest
+        # point, a NaN never wins, and with nothing below inf there is no point
+        cloud = PointCloud([[0.0, 0.0], [1.0, 1.0]])
+        bounds = [[0.0, 1.0], [0.0, 1.0]]
+        calls = []
+
+        def tied(X):
+            calls.append(len(X))
+            values = np.where(X[:, 0] + X[:, 1] >= 1.0, 0.0, 1.0)
+            values[0] = np.nan  # the corner (0, 0)
+            return values
+
+        point, value = grid_oracle(cloud, tied, bounds, resolution=3)
+        assert calls == [9] and value == 0.0
+        np.testing.assert_array_equal(point, [0.0, 1.0])
+        assert grid_oracle(cloud, lambda X: np.full(len(X), np.nan), bounds, 3) == (None, math.inf)
+        assert grid_oracle(cloud, lambda X: np.full(len(X), np.inf), bounds, 3) == (None, math.inf)
+
 
 class TestEquivariance:
     @pytest.mark.parametrize("seed", [20, 21, 22])
