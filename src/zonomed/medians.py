@@ -27,9 +27,8 @@ import numpy as np
 
 from .directions import sphere_directions
 from .errors import DegenerateCloudError, ZonomedError
-# intrinsic_volume_of_generators and wills_of_generators are not called
-# here, but both kernel names stay importable from this module:
-# perfbench/tracing.py wraps them.
+# wills_of_generators is not called here, but both kernel names stay
+# importable from this module: perfbench/tracing.py wraps them.
 from .zonotope import (
     PointCloud,
     discrepancy_volumes,
@@ -128,8 +127,9 @@ def vj_objective(x, cloud: PointCloud, j: int):
         raise ValueError(f"points have shape {x.shape}, cloud has dimension {cloud.dim}")
     if not 1 <= j <= cloud.dim:
         raise ValueError(f"need 1 <= j <= d, got j={j}, d={cloud.dim}")
-    values = discrepancy_volumes(cloud.points, X, j)
-    return float(values[0]) if x.ndim <= 1 else values
+    if x.ndim <= 1:
+        return intrinsic_volume_of_generators(X - cloud.points, j)
+    return discrepancy_volumes(cloud.points, X, j)
 
 
 def _normalized(points: np.ndarray) -> tuple[np.ndarray, int]:
@@ -577,6 +577,11 @@ def grid_oracle(cloud: PointCloud, objective, bounds=None, resolution: int = 15)
     # rows in itertools.product order, so the first minimum is the smallest point
     grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, cloud.dim)
     values = np.asarray(objective(grid), dtype=float)
+    if values.shape != (len(grid),):
+        raise ValueError(
+            f"objective must map a ({len(grid)}, {cloud.dim}) batch of points to "
+            f"{len(grid)} values, got shape {values.shape}"
+        )
     below = values < math.inf  # false for NaN
     if not below.any():
         return None, math.inf

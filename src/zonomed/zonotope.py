@@ -35,8 +35,8 @@ in one direction, or generators 1e-6 apart in angle, lose no more digits
 than the problem's own conditioning costs, unlike sqrt(det(G_S' G_S)),
 which squares the condition number.  An exact total is the correctly
 rounded sum of its terms: extraction (Rump, Ogita & Oishi 2008) compresses
-each buffer of terms, with no error, into a few partial sums, and math.fsum
-rounds the sum of those once.
+each block of terms the kernel yields, with no error, into a few partial
+sums per generator set, and math.fsum rounds the sum of those once.
 
 The Monte Carlo estimator projects the generators by Gaussian j x d matrices
 M.  For j < d it applies the same kernel to the projected generators of a
@@ -384,19 +384,14 @@ def _volumes(H: np.ndarray, j: int) -> list[float]:
 def _exact_sum(blocks) -> list[float]:
     """math.fsum of each column of the (k, b) arrays ``blocks``, bit for bit.
 
-    Blocks are held until they pass 1024 terms, fewer than math.fsum takes
-    faster than extraction; then _extract compresses them, with no error,
-    into a few rows with the same column sums.  math.fsum rounds each column
-    of the rows left once.  No array holds every term.
+    _extract compresses each block, with no error, into a few rows with the
+    same column sums, and math.fsum rounds each column of the rows left
+    once.  No array holds every term.
     """
-    held: list[np.ndarray] = []
+    partials: list[np.ndarray] = []
     for block in blocks:
-        held.append(block)
-        if sum(h.size for h in held) > 1024:
-            terms = held[0] if len(held) == 1 else np.concatenate(held)
-            held = []
-            _extract(terms, held)
-    return [math.fsum(column) for column in np.concatenate(held).T.tolist()]
+        _extract(block, partials)
+    return [math.fsum(column) for column in np.concatenate(partials).T.tolist()]
 
 
 def _extract(a: np.ndarray, partials: list[np.ndarray]) -> None:
@@ -409,11 +404,11 @@ def _extract(a: np.ndarray, partials: list[np.ndarray]) -> None:
     a - q.  Every partial sum of a column of q is such a multiple below
     sigma, so the column sums of q are exact in any order.  Rows whose
     remainders are all zero are dropped and the rest split again until a
-    few dozen terms are left, or until sigma would overflow, 2^(e+k-53)
+    few dozen rows are left, or until sigma would overflow, 2^(e+k-53)
     would be subnormal, or a term is inf or nan; those are appended as they
     are.
     """
-    while a.size > 32:
+    while len(a) > 32:
         top = float(np.max(np.abs(a)))
         if top == 0.0:
             a = a[:0]
@@ -428,9 +423,8 @@ def _extract(a: np.ndarray, partials: list[np.ndarray]) -> None:
         q -= sigma
         partials.append(q.sum(axis=0, keepdims=True))
         a -= q
-        live = a.any(axis=1)
-        if not live.all():
-            a = a.compress(live, axis=0)
+        if not a.all():
+            a = a.compress(a.any(axis=1), axis=0)
     partials.append(a)
 
 

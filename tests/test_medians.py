@@ -128,6 +128,36 @@ class TestVjObjective:
                     continue
                 assert vj_objective(X, cloud, j).tobytes() == np.array(single).tobytes()
 
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 4), n=st.integers(1, 8),
+           k=st.integers(40, 300), s=st.sampled_from([-300, 0, 300]))
+    def test_wide_batch_matches_single_calls(self, seed, d, n, k, s):
+        # 40 to 300 query points under the default block size: one kernel
+        # call sums many columns at once, as a grid evaluation does
+        rng = np.random.default_rng(seed)
+        pts = np.ldexp(rng.standard_normal((n, d)), s)
+        X = np.ldexp(rng.standard_normal((k, d)), s)
+        X[rng.integers(0, k, 4)] = pts[rng.integers(0, n, 4)]
+        cloud = PointCloud(pts)
+        for j in range(1, d + 1):
+            try:
+                single = [vj_objective(x, cloud, j) for x in X]
+            except OverflowError:  # V_j of 2^300 sets passes float64 for j >= 4
+                with pytest.raises(OverflowError, match=f"V_{j}"):
+                    vj_objective(X, cloud, j)
+                continue
+            assert vj_objective(X, cloud, j).tobytes() == np.array(single).tobytes()
+
+    def test_grid_batch_matches_single_calls(self):
+        # a 13^3 grid at (n, d, j) = (7, 3, 3), about 1040 columns per
+        # kernel call, the shape of criterion 5's grids
+        cloud = PointCloud(np.random.default_rng(9).standard_normal((7, 3)))
+        axis = np.linspace(-2.0, 2.0, 13)
+        grid = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1).reshape(-1, 3)
+        for j in (2, 3):
+            single = [vj_objective(x, cloud, j) for x in grid]
+            assert vj_objective(grid, cloud, j).tobytes() == np.array(single).tobytes()
+
     def test_accurate_at_oja_argmin(self):
         # the median sits on subset flats, where sqrt(det Gram) read
         # 38.48796818 against 38.48796759 (relative 1.5e-8)
@@ -622,6 +652,13 @@ class TestGridOracle:
         cloud = PointCloud([[0.0, 0.0], [1.0, 1.0]])
         with pytest.raises(ValueError):
             grid_oracle(cloud, lambda X: np.zeros(len(X)), resolution=1)
+
+    def test_objective_must_return_one_value_per_point(self):
+        # an objective written for one point at a time is refused by name
+        cloud = PointCloud([[0.0, 0.0], [1.0, 1.0]])
+        for objective in (lambda X: 0.0, lambda X: np.zeros((len(X), 1)), lambda X: np.zeros(3)):
+            with pytest.raises(ValueError, match="batch of points"):
+                grid_oracle(cloud, objective, resolution=3)
 
     def test_ties_nan_and_no_finite_value(self):
         # the whole grid goes through one call; ties go to the smallest

@@ -353,7 +353,7 @@ def _scaled_generator_sets(draw):
 @settings(max_examples=150, deadline=None)
 @given(gens=_scaled_generator_sets(), chunk=st.sampled_from([zonotope._CHUNK, 40]))
 def test_exact_sum_is_fsum_of_the_terms(gens, chunk):
-    # at a block size of 40 most sets pass through several buffers
+    # at a block size of 40 the kernel yields its terms in several blocks
     with pytest.MonkeyPatch.context() as mp, np.errstate(over="ignore", invalid="ignore"):
         mp.setattr(zonotope, "_CHUNK", chunk)
         for j in range(1, min(gens.shape) + 1):
@@ -375,26 +375,28 @@ _term = st.one_of(
 
 
 @settings(max_examples=150, deadline=None)
-@given(values=st.lists(_term, min_size=1, max_size=200))
+@given(values=st.lists(_term, max_size=200))
 def test_extract_keeps_the_exact_sum(values):
     # subnormal, overflowing and infinite terms take the float path.  The
-    # values repeat to 4096 rows, so that extraction runs rather than
-    # handing them all to fsum, in three columns: the values, the values
-    # reversed and halved, and zeros
-    terms = np.resize(np.array(values, dtype=float), 4096)
-    a = np.column_stack([terms, terms[::-1] * 0.5, np.zeros_like(terms)])
-    columns = a.T.tolist()
-    partials = []
-    zonotope._extract(a, partials)
-    got = np.concatenate(partials).T.tolist()
-    for column, rows in zip(columns, got):
-        try:
-            expected = math.fsum(column)
-        except OverflowError:
-            with pytest.raises(OverflowError):
-                math.fsum(rows)
-            continue
-        assert math.fsum(rows) == expected
+    # values go in as one column, as three columns (the values, the values
+    # reversed and halved, zeros), and repeated to 4096 rows in those three
+    # columns, so that extraction runs at small, mid and large row counts
+    terms = np.array(values, dtype=float)
+    three = np.column_stack([terms, terms[::-1] * 0.5, np.zeros_like(terms)])
+    repeated = three[np.arange(4096) % len(three)] if len(three) else three
+    for a in (terms[:, None], three, repeated):
+        columns = a.T.tolist()
+        partials = []
+        zonotope._extract(a.copy(), partials)
+        got = np.concatenate(partials).T.tolist()
+        for column, rows in zip(columns, got):
+            try:
+                expected = math.fsum(column)
+            except OverflowError:
+                with pytest.raises(OverflowError):
+                    math.fsum(rows)
+                continue
+            assert math.fsum(rows) == expected
 
 
 @settings(max_examples=60, deadline=None)
