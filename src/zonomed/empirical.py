@@ -231,13 +231,14 @@ def polygon_steiner_symmetral_2d(poly: ConvexPolygon2D, u) -> ConvexPolygon2D:
     The chord length along u is a piecewise-linear concave function of the
     u-perp coordinate with breakpoints at vertex projections; the symmetral
     is the polygon bounded by +/- half that function, reflected-symmetric
-    about the axis line and with the same area.
+    about the axis line and with the same area, found for the vertices / 2^s
+    (_rescaled) and scaled back exactly.
     """
     u = _check_unit(u)
     if u.size != 2:
         raise ValueError("polygon symmetrals are 2D only")
     w = np.array([u[1], -u[0]])  # right-handed (w, u) frame
-    verts = poly.vertices
+    verts, shift = _rescaled(poly.vertices)
     t = verts @ w
     s = verts @ u
     span = float(t.max() - t.min())
@@ -267,7 +268,7 @@ def polygon_steiner_symmetral_2d(poly: ConvexPolygon2D, u) -> ConvexPolygon2D:
         keep.pop()
     frame = np.vstack([w, u])  # rows
     planar = np.asarray(keep) @ frame
-    return ConvexPolygon2D(_prune_collinear(planar))
+    return ConvexPolygon2D(np.ldexp(_prune_collinear(planar), shift))
 
 
 def sample_uniform_polygon(poly: ConvexPolygon2D, n: int, seed: int) -> EmpiricalSample:

@@ -10,16 +10,15 @@ V_j(Z(x)) sums vol_j(x - x_i : i in S) over the j-subsets S, and each term
 is a face volume times a distance: vol_{j-1}(edges of S) * dist(x, aff S).
 A distance to a flat is convex in x, so every V_j objective and the Wills
 functional 1 + sum_j V_j are convex.  Every V_j, j = 1 included, and the
-Wills functional go through one solver: the face forms (a_S, w_S, N_S) are
-computed once (for j = 1 just a_S = x_i, w_S = 1), and a damped Newton method
-minimizes the smoothed sum w_S sqrt(r_S^2 + eps^2) while eps shrinks to
-zero.  The polar objective is not convex: a loose Nelder-Mead round runs
-from each of several starts and one full-tolerance round polishes the winner.
+Wills functional go through one solver: the face forms (a_S, w_S, A_S) come
+once per solve from the subset-volume kernel's minors, and a damped Newton
+method minimizes sum_S w_S sqrt(||A_S (x - a_S)||^2 + eps^2) as eps -> 0.
+The polar objective is not convex: a loose Nelder-Mead round runs from
+each of several starts and one full-tolerance round polishes the winner.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -30,7 +29,10 @@ from .errors import DegenerateCloudError, ZonomedError
 # wills_of_generators is not called here, but both kernel names stay
 # importable from this module: perfbench/tracing.py wraps them.
 from .zonotope import (
+    _CHUNK,
     PointCloud,
+    _minors,
+    _wedge,
     discrepancy_volumes,
     intrinsic_volume_of_generators,
     unit_ball_volume,
@@ -51,7 +53,7 @@ _SCREEN_XATOL = 1e-4
 _SCREEN_FATOL = 1e-8
 
 # Bytes the face forms or the polar tables of one solve may take while they
-# are built; larger problems fail before any subset is listed or table built.
+# are built; larger problems fail before any form or table is built.
 _SOLVE_BYTES = 1 << 29
 
 # Directions of the polar surrogate.  perfbench/reference.py recomputes the
@@ -191,66 +193,65 @@ def v1_median(cloud: PointCloud, opts: SolverOptions | None = None) -> MedianRes
 def _face_forms(points: np.ndarray, orders) -> list[tuple[np.ndarray, np.ndarray, np.ndarray | None]]:
     """Every j-subset S of the sample, for each j in ``orders``, as a face form.
 
-    vol_j(x - x_i : i in S) = w_S ||N_S'(x - a_S)||: a_S is the subset's first
-    point, and one batched complete QR of the edges x_i - a_S gives their
-    (j-1)-volume w_S = prod |diag R| and an orthonormal basis N_S of the
-    complement of their span.  j = 1 terms are ||x - x_i||, stored with
-    N = None (the basis would be the identity), so the size guard counts
-    only the orders j >= 2.  Returns one (a, w, N) group per order, without
-    affinely dependent subsets (w_S = 0).
+    vol_j(x - x_i : i in S) = w_S ||A_S (x - a_S)||: a_S is the subset's
+    first point, W_S the (j-1)-minors of its edges x_i - a_S, w_S = ||W_S||
+    and A_S (C(d, j) x d) the matrix of x -> (W_S / w_S) ^ x (None for the
+    j = 1 terms ||x - x_i||).  Per first point, one _minors call gives a
+    colex block of W_S and one _wedge call their A_S; a subset whose unit
+    edges' minors vanish to round-off is dropped.  The size guard charges
+    each order's (a, w, A) and the largest block's temporaries.
     """
     n, d = points.shape
-    need = sum(math.comb(n, j) * 8 * (j + 1 + d * (2 * d + j)) for j in orders if j >= 2)
+    forms = [j for j in orders if j >= 2]
+    need = sum(8 * math.comb(n, j) * (1 + d + d * math.comb(d, j)) for j in forms) + max(
+        (8 * math.comb(n - 1, j - 1) * (2 + math.comb(d, j - 1) + j * (d + 1) * math.comb(d, j))
+         + 32 * _CHUNK for j in forms), default=0)
     if need > _SOLVE_BYTES:
         counts = ", ".join(f"C({n},{j}) = {math.comb(n, j)}" for j in orders)
-        raise ZonomedError(
-            f"face forms of {counts} subsets need {need} bytes, over {_SOLVE_BYTES}"
-        )
-    groups = []
-    for j in orders:
-        if j == 1:
-            groups.append((points, np.ones(n), None))
-            continue
-        flat = itertools.chain.from_iterable(itertools.combinations(range(n), j))
-        idx = np.fromiter(flat, dtype=np.intp, count=math.comb(n, j) * j).reshape(-1, j)
-        a = points[idx[:, 0]]
-        edges = np.swapaxes(points[idx[:, 1:]] - a[:, None, :], 1, 2)
-        q, r = np.linalg.qr(edges, mode="complete")
-        diag = np.abs(np.diagonal(r, axis1=1, axis2=2))
-        w = diag.prod(axis=1)
-        # a volume within round-off of the edge lengths' product is zero;
-        # compared edge by edge, neither side overflows
-        with np.errstate(invalid="ignore"):  # a zero edge's 0 / 0 is not kept
-            keep = (diag / np.hypot.reduce(edges, axis=1)).prod(axis=1) > j * np.finfo(float).eps
-        groups.append((a[keep], w[keep], q[keep][:, :, j - 1 :]))
+        raise ZonomedError(f"face forms of {counts} subsets need {need} bytes, over {_SOLVE_BYTES}")
+    groups = [(points, np.ones(n), None)] if 1 in orders else []
+    for j in forms:
+        total, filled = math.comb(n, j), 0
+        a, w, A = np.empty((total, d)), np.empty(total), np.empty((total, math.comb(d, j), d))
+        for i in range(n - j + 1):
+            edges = (points[i + 1 :] - points[i]).T
+            with np.errstate(invalid="ignore"):  # a zero edge's 0 / 0 is not kept
+                W = _minors(np.dstack([edges, edges / np.hypot.reduce(edges, axis=0)]), j - 1)
+            norms = np.sqrt(np.einsum("kmb,kmb->bm", W, W))
+            keep = norms[1] > j * np.finfo(float).eps
+            first, filled = filled, filled + np.count_nonzero(keep)
+            a[first:filled], w[first:filled] = points[i], norms[0, keep]
+            W = W[:, keep, 1:] / norms[1, keep, None]  # w_S itself may underflow to 0
+            A[first:filled] = _wedge(W, np.eye(d)[:, None, :], j - 1).transpose(1, 0, 2)
+        groups.append((a[:filled], w[:filled], A[:filled]))
     return groups
 
 
 def _face_value(groups, x: np.ndarray, eps: float = 0.0, derivatives: bool = False):
-    """sum_S w_S sqrt(r_S^2 + eps^2) with r_S = ||N_S'(x - a_S)||, and
-    r_S = ||x - a_S|| where N_S is None; with ``derivatives``, the tuple
-    (value, gradient, Hessian)."""
+    """sum_S w_S sqrt(r_S^2 + eps^2), r_S = ||A_S (x - a_S)|| (A_S = I for
+    None), in _CHUNK-element slices; with ``derivatives``, (f, grad f, H)."""
     d = x.size
     value, grad, hess = 0.0, np.zeros(d), np.zeros((d, d))
-    for a, w, N in groups:
-        u = x - a
-        y = u if N is None else np.einsum("sdk,sd->sk", N, u)
-        s = np.sqrt(np.einsum("sk,sk->s", y, y) + eps * eps)
-        value += float(w @ s)
-        if derivatives:
-            c = w / s
-            if N is None:
-                hess += c.sum() * np.eye(d)
-            else:
-                u = np.einsum("sdk,sk->sd", N, y)  # x - a_S projected off the flat
-                hess += np.einsum("s,sdk,sek->de", c, N, N)
-            grad += c @ u
-            hess -= (u * (c / (s * s))[:, None]).T @ u
+    for a, w, A in groups:
+        rows = _CHUNK // (d if A is None else A.shape[1] * d)
+        for r in range(0, len(w), rows):
+            ws, u = w[r : r + rows], x - a[r : r + rows]
+            As = None if A is None else A[r : r + rows]
+            y = u if As is None else np.einsum("skd,sd->sk", As, u)
+            s = np.sqrt(np.einsum("sk,sk->s", y, y) + eps * eps)
+            value += float(ws @ s)
+            if derivatives:
+                c = ws / s
+                u = u if As is None else np.einsum("skd,sk->sd", As, y)  # x - a_S off the flat
+                grad += c @ u
+                hess += (c.sum() * np.eye(d) if As is None
+                         else (As * c[:, None, None]).reshape(-1, d).T @ As.reshape(-1, d))
+                hess -= (u * (c / (s * s))[:, None]).T @ u
     return (value, grad, hess) if derivatives else value
 
 
 def _face_median(pts: np.ndarray, e: int, orders, opts: SolverOptions, constant: float = 0.0):
-    """Minimize constant + sum over j in orders of V_j(Z(x)) from the face forms.
+    """Minimize constant + sum over j in orders of V_j(Z(x)) over _face_forms.
 
     ``pts`` is the cloud divided by 2^e (_normalized): damped Newton (Armijo
     backtracking) on sum_S w_S sqrt(r_S^2 + eps^2) from the coordinatewise
@@ -267,7 +268,7 @@ def _face_median(pts: np.ndarray, e: int, orders, opts: SolverOptions, constant:
     top = len(orders) * max(e, 0) if constant else orders[0] * e
     name = "the Wills value" if constant else f"the V_{orders[0]} value"
     forms = zip(_face_forms(pts, orders), orders)
-    groups = [(a, np.ldexp(w, j * e - top), N) for (a, w, N), j in forms]
+    groups = [(a, np.ldexp(w, j * e - top), A) for (a, w, A), j in forms]
     constant = math.ldexp(constant, -top)
     x = np.median(pts, axis=0)
     path = []
@@ -317,13 +318,9 @@ def vd_median(cloud: PointCloud, opts: SolverOptions | None = None) -> MedianRes
 
 
 def vj_median(cloud: PointCloud, j: int, opts: SolverOptions | None = None) -> MedianResult:
-    """V_j median: the minimizer of V_j(Z(x)) over x.
-
-    Each j-subset S contributes vol_{j-1}(edges of S) * dist(x, aff S), a
-    volume times the distance to a flat (for j = 1, the L1 median, just
-    ||x - x_i||), so the objective is convex and one face-form Newton solve
-    from the coordinatewise median finds its minimum for every j.
-    """
+    """V_j median: the minimizer of V_j(Z(x)) over x, a convex sum of
+    volumes times distances to flats (see the module docstring), by one
+    face-form Newton solve from the coordinatewise median for every j."""
     d = cloud.dim
     if not 1 <= j <= d:
         raise ValueError(f"need 1 <= j <= d, got j={j}, d={d}")

@@ -28,7 +28,8 @@ j-volume of the parallelepiped G_S spans.  One kernel computes it:
 
 The kernel takes a batch of generator sets at once: the Monte Carlo
 estimator's projected draws, or the discrepancy zonotopes at a batch of
-query points (discrepancy_volumes), each summed exactly on its own.
+query points (discrepancy_volumes), each summed exactly on its own.  The
+median face forms (medians._face_forms) come from the same _minors.
 
 Minors keep the accuracy of the generators themselves: a zonotope 1e-7 thin
 in one direction, or generators 1e-6 apart in angle, lose no more digits
@@ -53,8 +54,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-# Elements per temporary array of the subset-volume kernel; larger problems
-# are streamed through it in slices.  Exact results do not depend on it.
+# Elements per temporary array of the subset-volume kernel and of a face-form
+# evaluation, which take larger problems in slices; exact V_j ignores it.
 _CHUNK = 1 << 16
 
 # Exact V_j rescales generators whose max|g|^j lies outside 2^(+-_SAFE_EXPONENT),
@@ -225,18 +226,19 @@ def _minors(G: np.ndarray, t: int) -> np.ndarray:
     order; the one 0-minor is 1 and the 1-minors are G.  The block with
     largest element l is the first C(l, t-1) rows of the (t-1)-minor table
     joined with g_l.  Consecutive blocks whose products fit in _CHUNK
-    elements are wedged in one call, each row paired with its own
-    generator, and a larger block is wedged alone."""
+    elements are wedged in one call, each row paired with its own generator,
+    a larger block alone, and each call fills its rows of one table."""
     if t <= 1:
         return G if t else np.ones((1, 1, G.shape[2]))
     lower = _minors(G, t - 1)
     d, m, b = G.shape
     counts = [math.comb(l, t - 1) for l in range(t - 1, m)]
-    tables = []
+    table = np.empty((math.comb(d, t), math.comb(m, t), b))
     for start, stop in _runs(counts, lambda start: t * math.comb(d, t) * b):
         owner, rows = _ragged(counts[start:stop])
-        tables.append(_wedge(lower[:, rows], G[:, t - 1 + start + owner], t - 1))
-    return tables[0] if len(tables) == 1 else np.concatenate(tables, axis=1)
+        at = math.comb(t - 1 + start, t)  # the subsets before block start
+        table[:, at : at + len(rows)] = _wedge(lower[:, rows], G[:, t - 1 + start + owner], t - 1)
+    return table
 
 
 def _planar_terms(H: np.ndarray) -> np.ndarray:

@@ -402,6 +402,29 @@ class TestPolygonSymmetral:
         for v in reflected:
             assert np.min(np.linalg.norm(out.vertices - v, axis=1)) <= 1e-12
 
+    @pytest.mark.parametrize("shape", ["square", "9-gon"])
+    def test_scaled_by_powers_of_two(self, shape):
+        # the polygon times 2^k gives the symmetral times 2^k, bit for bit,
+        # for k = -1000..1000: the square times 2^-600 gave 6 vertices for 4
+        # once products of its coordinates underflowed
+        if shape == "square":
+            verts, u = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]), np.ones(2)
+        else:  # as the benchmark's theorem1 polygons are drawn
+            rng = np.random.default_rng(24)
+            angles = np.sort(rng.uniform(0.0, 2.0 * math.pi, size=9))
+            radii = rng.uniform(0.8, 1.2, size=2)
+            verts = np.column_stack([radii[0] * np.cos(angles), radii[1] * np.sin(angles)])
+            u = rng.standard_normal(2)
+        u /= np.linalg.norm(u)
+        base = polygon_steiner_symmetral_2d(ConvexPolygon2D(verts), u).vertices
+        # every nonzero coordinate stays normal at every k
+        coords = np.abs(np.concatenate([verts, base]))
+        exponents = np.frexp(coords[coords > 0])[1]
+        assert exponents.min() - 1000 >= -1021 and exponents.max() + 1000 <= 1024
+        for k in range(-1000, 1001, 50):
+            out = polygon_steiner_symmetral_2d(ConvexPolygon2D(np.ldexp(verts, k)), u).vertices
+            assert out.tobytes() == np.ldexp(base, k).tobytes()
+
 
 class TestSampleUniformPolygon:
     def test_square_moments(self):

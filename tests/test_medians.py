@@ -1,6 +1,7 @@
 """The V_j-median family, Wills and polar medians, and the grid oracle."""
 
 import functools
+import itertools
 import math
 
 import numpy as np
@@ -832,6 +833,25 @@ class TestFaceSolver:
         with pytest.raises(ZonomedError, match="bytes"):
             wills_median(cloud)
 
+    def test_forms_past_the_budget_are_refused(self, monkeypatch):
+        # d = 3 Oja forms hold 7 floats per subset, and the build's first
+        # block 17 floats per subset of it beside four _CHUNK-element kernel
+        # temporaries: the 512 MiB budget admits n <= 384, and one point
+        # more fails before any form is built
+        def need(n):
+            return 8 * (7 * math.comb(n, 3) + 17 * math.comb(n - 1, 2) + 4 * zonotope._CHUNK)
+
+        assert need(384) <= medians._SOLVE_BYTES < need(385)
+        pts = np.random.default_rng(0).standard_normal((385, 3))
+        with pytest.raises(ZonomedError, match=rf"C\(385,3\) = 9437120 subsets need {need(385)} "):
+            vd_median(PointCloud(pts))
+        # a budget of exactly 12 points' forms admits 12 points and refuses 13
+        monkeypatch.setattr(medians, "_SOLVE_BYTES", need(12))
+        ((_, w, _),) = _face_forms(pts[:12], (3,))
+        assert len(w) == math.comb(12, 3)
+        with pytest.raises(ZonomedError, match=rf"C\(13,3\) = 286 subsets need {need(13)} "):
+            _face_forms(pts[:13], (3,))
+
     def test_duplicate_points(self):
         pts = _mixed_cloud(np.random.default_rng(21), 7, 2)
         cloud = PointCloud(np.vstack([pts, pts[:3]]))
@@ -843,6 +863,15 @@ class TestFaceSolver:
             assert r.value == pytest.approx(objective(r.argmin), rel=1e-12)
             for h in (1e-6 * scale, 1e-3 * scale):
                 assert _best_improvement(objective, r.argmin, _axis_steps(2, h)) <= 1e-12
+
+    def test_volumes_that_underflow(self):
+        # two edges of 1e-200 span a triangle whose area underflows to 0: its
+        # subsets take their flats from the unit edges and weigh nothing
+        pts = np.vstack([np.zeros(3), 1e-200 * np.eye(3)[:2], np.eye(3), np.ones(3)])
+        for order in (3, "wills"):
+            r = _solve(PointCloud(pts), order)
+            assert r.converged
+            assert r.value == pytest.approx(_objective(PointCloud(pts), order)(r.argmin), rel=1e-12)
 
     def test_affinely_dependent_subsets_dropped(self):
         line = np.outer([0.0, 1.0, 3.0], [1.0, 2.0, -1.0])
@@ -883,20 +912,35 @@ class TestFaceSolver:
 _orders = st.sampled_from([(2, 2), (3, 2), (3, 3), (2, "wills"), (3, "wills")])
 
 
-@settings(max_examples=25, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), case=_orders, n=st.integers(3, 8))
-def test_face_form_matches_subset_kernel(seed, case, n):
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    case=st.sampled_from([(2, 2), (3, 2), (3, 3), (2, "wills"), (3, "wills"),
+                          (4, 2), (4, 3), (4, 4), (4, "wills")]),
+    n=st.integers(3, 8),
+    shift=st.sampled_from([0.0, 1e3, 1e6]),
+)
+def test_face_form_matches_subset_kernel(seed, case, n, shift):
     d, order = case
     rng = np.random.default_rng(seed)
-    cloud = PointCloud(rng.standard_normal((n, d)))
+    cloud = PointCloud(rng.standard_normal((n, d)) + shift)
     orders = range(1, d + 1) if order == "wills" else (order,)
     groups = _face_forms(cloud.points, orders)
-    for x in rng.standard_normal((5, d)) * 2.0:
+    for x in rng.standard_normal((5, d)) * 2.0 + shift:
         if order == "wills":
             expected = wills_of_generators(x[None, :] - cloud.points, d) - 1.0
         else:
             expected = vj_objective(x, cloud, order)
-        assert _face_value(groups, x) == pytest.approx(expected, rel=1e-10)
+        value = _face_value(groups, x)
+        assert value == pytest.approx(expected, rel=1e-10)
+        # Against the sum of Hadamard's bounds on the terms, which has no
+        # cancellation, the error is a few units of round-off at any shift:
+        # each term comes from x - a_S.  A form A_S x - A_S a_S loses about
+        # shift * 1e-16 of each term (1e-11 of the bound at shift 1e6).
+        lengths = np.linalg.norm(x - cloud.points, axis=1)
+        bound = sum(math.prod(lengths[list(S)]) for j in orders
+                    for S in itertools.combinations(range(n), j))
+        assert abs(value - expected) <= 4e-15 * bound
 
 
 @settings(max_examples=15, deadline=None)
@@ -927,11 +971,12 @@ def test_rigid_motion_equivariance(seed, case, n):
         assert np.linalg.norm(moved.argmin - (R @ base.argmin + t)) <= 1e-7 * scale
 
 
-def test_l1_face_forms_hold_no_normal_bases():
-    # j = 1 terms are ||x - x_i||: no basis is built, so nothing beyond the
-    # sample is charged against the size guard (a 32 MB sample here).
-    ((a, w, N),) = _face_forms(np.zeros((400_000, 10)), (1,))
-    assert N is None and a.shape == (400_000, 10) and len(w) == 400_000
+def test_l1_face_forms_build_no_wedge_matrices():
+    # j = 1 terms are ||x - x_i||: no A_S is built (it would be the
+    # identity), so nothing beyond the sample is charged against the size
+    # guard (a 32 MB sample here).
+    ((a, w, A),) = _face_forms(np.zeros((400_000, 10)), (1,))
+    assert A is None and a.shape == (400_000, 10) and len(w) == 400_000
 
 
 @pytest.mark.parametrize(

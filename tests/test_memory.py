@@ -1,6 +1,7 @@
 """Working sets of the sample commands' layers, of the polar tables and of
 the subset-volume kernel: each holds at most a fixed budget beyond its
-inputs and its output, whatever the sample's size.
+inputs and its output, whatever the sample's size.  The median face forms
+hold at most half of what they held when built by QR.
 
 tracemalloc sees the buffers numpy allocates, so a temporary as large as
 the input shows here as bytes, not as a resident-set reading that depends
@@ -16,7 +17,7 @@ from zonomed import cli, empirical
 from zonomed.cli import _read_csv, main
 from zonomed.directions import sphere_directions
 from zonomed.empirical import EmpiricalSample, NormReduction, RegressorConfig, _conditional_mean
-from zonomed.medians import _polar_evaluator, vj_objective
+from zonomed.medians import _face_forms, _polar_evaluator, vj_objective
 from zonomed.polygon import ConvexPolygon2D, distances_to_polygon
 from zonomed.zonotope import PointCloud, intrinsic_volume_of_generators
 
@@ -120,3 +121,18 @@ def test_batched_objective():
     values, peak = traced_peak(lambda: vj_objective(grid, cloud, 3))
     assert values.shape == (2197,)
     assert peak <= KERNEL_PEAK[400, 3, 3] + values.nbytes
+
+
+# Peaks of the face forms of the Oja median at (n, d) = (60, 3) and of the
+# Wills median at (40, 3) when every subset's form came from a batched
+# complete QR over a list of every subset's indices: 12 086 479 and
+# 3 575 216 bytes.  The forms from the kernel's minors, filled block by
+# block into arrays allocated once, must take at most half.
+FACE_FORM_PEAK = {(60, (3,)): 12_086_479 // 2, (40, (1, 2, 3)): 3_575_216 // 2}
+
+
+def test_face_forms():
+    for (n, orders), bound in FACE_FORM_PEAK.items():
+        pts = np.random.default_rng(n).standard_normal((n, 3))
+        groups, peak = traced_peak(lambda: _face_forms(pts, orders))
+        assert len(groups[-1][1]) == math.comb(n, 3) and peak <= bound
