@@ -32,6 +32,7 @@ from .zonotope import (
     _CHUNK,
     PointCloud,
     _minors,
+    _minors_size,
     _wedge,
     discrepancy_volumes,
     intrinsic_volume_of_generators,
@@ -199,13 +200,15 @@ def _face_forms(points: np.ndarray, orders) -> list[tuple[np.ndarray, np.ndarray
     j = 1 terms ||x - x_i||).  Per first point, one _minors call gives a
     colex block of W_S and one _wedge call their A_S; a subset whose unit
     edges' minors vanish to round-off is dropped.  The size guard charges
-    each order's (a, w, A) and the largest block's temporaries.
+    each order's (a, w, A) and the first block's larger step, _minors on its
+    edges (_minors_size) or the A_S wedge beside W_S, w_S and its table.
     """
     n, d = points.shape
     forms = [j for j in orders if j >= 2]
-    need = sum(8 * math.comb(n, j) * (1 + d + d * math.comb(d, j)) for j in forms) + max(
-        (8 * math.comb(n - 1, j - 1) * (2 + math.comb(d, j - 1) + j * (d + 1) * math.comb(d, j))
-         + 32 * _CHUNK for j in forms), default=0)
+    need = 8 * sum(math.comb(n, j) * (1 + d + d * math.comb(d, j)) for j in forms) + 8 * max(
+        (max(_minors_size(d, n - 1, j - 1, 2) + 4 * d * n,
+             math.comb(n - 1, j - 1) * (2 + math.comb(d, j - 1) + j * (d + 1) * math.comb(d, j))
+             + j * (d + 8) * math.comb(d, j) + d * n) + 4 * _CHUNK for j in forms), default=0)
     if need > _SOLVE_BYTES:
         counts = ", ".join(f"C({n},{j}) = {math.comb(n, j)}" for j in orders)
         raise ZonomedError(f"face forms of {counts} subsets need {need} bytes, over {_SOLVE_BYTES}")
@@ -228,12 +231,13 @@ def _face_forms(points: np.ndarray, orders) -> list[tuple[np.ndarray, np.ndarray
 
 
 def _face_value(groups, x: np.ndarray, eps: float = 0.0, derivatives: bool = False):
-    """sum_S w_S sqrt(r_S^2 + eps^2), r_S = ||A_S (x - a_S)|| (A_S = I for
-    None), in _CHUNK-element slices; with ``derivatives``, (f, grad f, H)."""
+    """sum_S w_S sqrt(r_S^2 + eps^2), r_S = ||A_S (x - a_S)|| (A_S = I for None,
+    in one piece), in slices of A within _CHUNK elements or of one subset;
+    with ``derivatives``, (f, grad f, H)."""
     d = x.size
     value, grad, hess = 0.0, np.zeros(d), np.zeros((d, d))
     for a, w, A in groups:
-        rows = _CHUNK // (d if A is None else A.shape[1] * d)
+        rows = max(1, len(w) if A is None else _CHUNK // (A.shape[1] * d))
         for r in range(0, len(w), rows):
             ws, u = w[r : r + rows], x - a[r : r + rows]
             As = None if A is None else A[r : r + rows]

@@ -241,6 +241,19 @@ def _minors(G: np.ndarray, t: int) -> np.ndarray:
     return table
 
 
+def _minors_size(d: int, m: int, t: int, b: int) -> int:
+    """The most elements _minors(G, t) holds at once beside G (d, m, b): at
+    some level s, the (s-1)- and s-minor tables, one run's rows, generators,
+    indices and three _wedge products, and the wedge table as it is built."""
+    size = 0
+    for s in range(2, t + 1):
+        width = s * math.comb(d, s)  # products per row and set
+        rows = min(math.comb(m, s), max(_CHUNK // (width * b), math.comb(m - 1, s - 1)))
+        tables = (s > 2) * math.comb(d, s - 1) * math.comb(m, s - 1) + math.comb(d, s) * math.comb(m, s)
+        size = max(size, tables * b + rows * ((3 * width + math.comb(d, s - 1) + d) * b + 5) + 8 * width)
+    return size
+
+
 def _planar_terms(H: np.ndarray) -> np.ndarray:
     """Terms max(P_{k-1} x g_k, 0) of V_2 for (b, m, 2) planar generator sets.
 

@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
 
 import numpy as np
 
-from zonomed import PointCloud, Zonotope, grid_oracle
+from zonomed import PointCloud, Zonotope, grid_oracle, medians
+from zonomed.errors import ZonomedError
 
 
 def random_zonotope(rng: np.random.Generator, d: int, m: int) -> Zonotope:
@@ -30,6 +32,19 @@ def subset_volume_sum(gens: np.ndarray, j: int) -> float:
     r = np.linalg.qr(np.swapaxes(gens[idx], 1, 2), mode="r")
     vals = np.prod(np.abs(np.diagonal(r, axis1=1, axis2=2)), axis=1)
     return math.fsum(vals.tolist())
+
+
+def face_form_charge(pts: np.ndarray, orders) -> int:
+    """The bytes medians._face_forms' size guard charges for pts and orders,
+    read from its refusal under a budget of none."""
+    budget, medians._SOLVE_BYTES = medians._SOLVE_BYTES, 0
+    try:
+        medians._face_forms(pts, orders)
+    except ZonomedError as refused:
+        return int(re.search(r"need (\d+) bytes", str(refused))[1])
+    finally:
+        medians._SOLVE_BYTES = budget
+    raise AssertionError("no budget, yet the forms were built")
 
 
 def random_spd(rng: np.random.Generator, d: int, lo: float = 0.5, hi: float = 5.0):

@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from zonomed import (
@@ -36,7 +36,7 @@ from zonomed.medians import (
     _start_points,
 )
 from zonomed.zonotope import unit_ball_volume, wills_of_generators
-from conftest import refined_grid_minimum, rotation_matrix, subset_volume_sum
+from conftest import face_form_charge, refined_grid_minimum, rotation_matrix, subset_volume_sum
 
 
 def _cloud_scale(points):
@@ -834,22 +834,25 @@ class TestFaceSolver:
             wills_median(cloud)
 
     def test_forms_past_the_budget_are_refused(self, monkeypatch):
-        # d = 3 Oja forms hold 7 floats per subset, and the build's first
-        # block 17 floats per subset of it beside four _CHUNK-element kernel
-        # temporaries: the 512 MiB budget admits n <= 384, and one point
-        # more fails before any form is built
+        # d = 3 Oja forms hold 7 floats per subset; from about 230 points on,
+        # the build's largest step is the first block's A_S wedge, 17 floats
+        # per subset of it beside 3n + 33 and a slack of four _CHUNK: the
+        # 512 MiB budget admits n <= 384, and one point more fails before
+        # any form is built
         def need(n):
-            return 8 * (7 * math.comb(n, 3) + 17 * math.comb(n - 1, 2) + 4 * zonotope._CHUNK)
+            return 8 * (7 * math.comb(n, 3) + 17 * math.comb(n - 1, 2) + 3 * n + 33
+                        + 4 * zonotope._CHUNK)
 
         assert need(384) <= medians._SOLVE_BYTES < need(385)
         pts = np.random.default_rng(0).standard_normal((385, 3))
         with pytest.raises(ZonomedError, match=rf"C\(385,3\) = 9437120 subsets need {need(385)} "):
             vd_median(PointCloud(pts))
-        # a budget of exactly 12 points' forms admits 12 points and refuses 13
-        monkeypatch.setattr(medians, "_SOLVE_BYTES", need(12))
+        assert face_form_charge(pts[:384], (3,)) == need(384)
+        # a budget of exactly 12 points' charge admits 12 points and refuses 13
+        monkeypatch.setattr(medians, "_SOLVE_BYTES", face_form_charge(pts[:12], (3,)))
         ((_, w, _),) = _face_forms(pts[:12], (3,))
         assert len(w) == math.comb(12, 3)
-        with pytest.raises(ZonomedError, match=rf"C\(13,3\) = 286 subsets need {need(13)} "):
+        with pytest.raises(ZonomedError, match=r"C\(13,3\) = 286 subsets need "):
             _face_forms(pts[:13], (3,))
 
     def test_duplicate_points(self):
@@ -920,6 +923,9 @@ _orders = st.sampled_from([(2, 2), (3, 2), (3, 3), (2, "wills"), (3, "wills")])
     n=st.integers(3, 8),
     shift=st.sampled_from([0.0, 1e3, 1e6]),
 )
+# one order-7 form in R^15 holds C(15, 7) x 15 = 96 525 elements, more than
+# _CHUNK: each slice of _face_value takes a single subset
+@example(seed=15, case=(15, 7), n=8, shift=0.0)
 def test_face_form_matches_subset_kernel(seed, case, n, shift):
     d, order = case
     rng = np.random.default_rng(seed)

@@ -1,7 +1,8 @@
 """Working sets of the sample commands' layers, of the polar tables and of
 the subset-volume kernel: each holds at most a fixed budget beyond its
 inputs and its output, whatever the sample's size.  The median face forms
-hold at most half of what they held when built by QR.
+hold at most half of what they held when built by QR, and no more than
+their size guard charges.
 
 tracemalloc sees the buffers numpy allocates, so a temporary as large as
 the input shows here as bytes, not as a resident-set reading that depends
@@ -20,6 +21,7 @@ from zonomed.empirical import EmpiricalSample, NormReduction, RegressorConfig, _
 from zonomed.medians import _face_forms, _polar_evaluator, vj_objective
 from zonomed.polygon import ConvexPolygon2D, distances_to_polygon
 from zonomed.zonotope import PointCloud, intrinsic_volume_of_generators
+from conftest import face_form_charge
 
 MB = 2**20
 
@@ -132,7 +134,14 @@ FACE_FORM_PEAK = {(60, (3,)): 12_086_479 // 2, (40, (1, 2, 3)): 3_575_216 // 2}
 
 
 def test_face_forms():
-    for (n, orders), bound in FACE_FORM_PEAK.items():
-        pts = np.random.default_rng(n).standard_normal((n, 3))
+    # beside the QR bounds, the build holds no more than the size guard
+    # charges: at those sizes, for 50 MB of d = 3 Oja forms, for d = 15
+    # order-7 forms (a 5 MB wedge table) and for the d = 10 Oja median,
+    # whose middle minor tables outgrow its one form
+    cases = [(60, 3, (3,)), (40, 3, (1, 2, 3)), (170, 3, (3,)), (8, 15, (7,)), (11, 10, (10,))]
+    for n, d, orders in cases:
+        pts = np.random.default_rng(n).standard_normal((n, d))
         groups, peak = traced_peak(lambda: _face_forms(pts, orders))
-        assert len(groups[-1][1]) == math.comb(n, 3) and peak <= bound
+        assert len(groups[-1][1]) == math.comb(n, orders[-1])
+        assert peak <= FACE_FORM_PEAK.get((n, orders), math.inf)
+        assert peak <= face_form_charge(pts, orders)
