@@ -64,7 +64,7 @@ def _read_csv(path: str) -> np.ndarray:
     so only the array is held.
     """
     with open(path, "r", encoding="utf-8") as fh:
-        lines = (ln for ln in map(str.strip, fh) if ln)
+        lines = filter(None, map(str.strip, fh))
         first = next(lines, None)
         if first is None:
             raise ValueError(f"{path}: empty file")

@@ -46,6 +46,8 @@ from .zonotope import (
 _PROBE_STEP = 1e-3
 _FLAT_REL = 1e-9
 
+_EPS = np.finfo(float).eps
+
 # Polar screen: each start's single Nelder-Mead round begins from a simplex
 # _SCREEN_STEP wide and stops once it is _SCREEN_XATOL wide and its values
 # agree to _SCREEN_FATOL of 1 + |f|; only the winner gets the full polish.
@@ -135,14 +137,15 @@ def vj_objective(x, cloud: PointCloud, j: int):
     return discrepancy_volumes(cloud.points, X, j)
 
 
-def _normalized(points: np.ndarray) -> tuple[np.ndarray, int]:
+def _normalized(points: np.ndarray, order: str = "C") -> tuple[np.ndarray, int]:
     """(points / 2^e, e), e the binary exponent of the largest distance from
     the mean (0 for none): an exact division to a spread in [1/2, 1), found
-    without squaring a raw coordinate."""
+    without squaring a raw coordinate.  The quotient is laid out in ``order``,
+    so a column-major one costs no second copy."""
     centered = points - points.mean(axis=0)
     e = math.frexp(float(np.abs(centered).max()))[1]
     e += math.frexp(float(np.sqrt((np.ldexp(centered, -e) ** 2).sum(axis=1)).max()))[1]
-    return np.ldexp(points, -e), e
+    return np.ldexp(points, -e, out=np.empty(points.shape, order=order)), e
 
 
 def _scaled(value: float, e: int, name: str) -> float:
@@ -196,60 +199,81 @@ def _face_forms(points: np.ndarray, orders) -> list[tuple[np.ndarray, np.ndarray
 
     vol_j(x - x_i : i in S) = w_S ||A_S (x - a_S)||: a_S is the subset's
     first point, W_S the (j-1)-minors of its edges x_i - a_S, w_S = ||W_S||
-    and A_S (C(d, j) x d) the matrix of x -> (W_S / w_S) ^ x (None for the
-    j = 1 terms ||x - x_i||).  Per first point, one _minors call gives a
-    colex block of W_S and one _wedge call their A_S; a subset whose unit
+    and A_S (d - j + 1 orthonormal rows of length d) spans the complement
+    of the edges (None for the j = 1 terms ||x - x_i||).  Per first point,
+    one _minors call gives a colex block of W_S and one _wedge call the
+    C(d, j) x d matrices B_S of x -> (W_S / w_S) ^ x; B_S'B_S projects onto
+    that complement, so where C(d, j) > d - j + 1 its eigenvectors of
+    eigenvalue ~1 are A_S, and ||A_S u|| = ||B_S u||.  A subset whose unit
     edges' minors vanish to round-off is dropped.  The size guard charges
     each order's (a, w, A) and the first block's larger step, _minors on its
-    edges (_minors_size) or the A_S wedge beside W_S, w_S and its table.
+    edges (_minors_size) or the B_S wedge and its eigendecomposition beside
+    W_S, w_S and the wedge's table.
     """
     n, d = points.shape
     forms = [j for j in orders if j >= 2]
-    need = 8 * sum(math.comb(n, j) * (1 + d + d * math.comb(d, j)) for j in forms) + 8 * max(
+
+    def block(j):  # elements per subset of a block's wedge and decomposition
+        wide = math.comb(d, j) > d - j + 1
+        return 2 + math.comb(d, j - 1) + j * (d + 1) * math.comb(d, j) + wide * (2 * d + 1) * d
+
+    need = 8 * sum(math.comb(n, j) * (1 + d + d * (d - j + 1)) for j in forms) + 8 * max(
         (max(_minors_size(d, n - 1, j - 1, 2) + 4 * d * n,
-             math.comb(n - 1, j - 1) * (2 + math.comb(d, j - 1) + j * (d + 1) * math.comb(d, j))
-             + j * (d + 8) * math.comb(d, j) + d * n) + 4 * _CHUNK for j in forms), default=0)
+             math.comb(n - 1, j - 1) * block(j) + j * (d + 8) * math.comb(d, j) + d * n)
+         + 4 * _CHUNK for j in forms), default=0)
     if need > _SOLVE_BYTES:
         counts = ", ".join(f"C({n},{j}) = {math.comb(n, j)}" for j in orders)
         raise ZonomedError(f"face forms of {counts} subsets need {need} bytes, over {_SOLVE_BYTES}")
     groups = [(points, np.ones(n), None)] if 1 in orders else []
     for j in forms:
         total, filled = math.comb(n, j), 0
-        a, w, A = np.empty((total, d)), np.empty(total), np.empty((total, math.comb(d, j), d))
+        a, w, A = np.empty((total, d)), np.empty(total), np.empty((total, d - j + 1, d))
         for i in range(n - j + 1):
             edges = (points[i + 1 :] - points[i]).T
             with np.errstate(invalid="ignore"):  # a zero edge's 0 / 0 is not kept
                 W = _minors(np.dstack([edges, edges / np.hypot.reduce(edges, axis=0)]), j - 1)
             norms = np.sqrt(np.einsum("kmb,kmb->bm", W, W))
-            keep = norms[1] > j * np.finfo(float).eps
+            keep = norms[1] > j * _EPS
             first, filled = filled, filled + np.count_nonzero(keep)
             a[first:filled], w[first:filled] = points[i], norms[0, keep]
             W = W[:, keep, 1:] / norms[1, keep, None]  # w_S itself may underflow to 0
-            A[first:filled] = _wedge(W, np.eye(d)[:, None, :], j - 1).transpose(1, 0, 2)
+            B = _wedge(W, np.eye(d)[:, None, :], j - 1).transpose(1, 0, 2)
+            if math.comb(d, j) > d - j + 1:
+                B = np.linalg.eigh(B.transpose(0, 2, 1) @ B)[1][:, :, j - 1 :].transpose(0, 2, 1)
+            A[first:filled] = B
         groups.append((a[:filled], w[:filled], A[:filled]))
     return groups
 
 
 def _face_value(groups, x: np.ndarray, eps: float = 0.0, derivatives: bool = False):
-    """sum_S w_S sqrt(r_S^2 + eps^2), r_S = ||A_S (x - a_S)|| (A_S = I for None,
-    in one piece), in slices of A within _CHUNK elements or of one subset;
-    with ``derivatives``, (f, grad f, H)."""
+    """sum_S w_S sqrt(r_S^2 + eps^2), r_S = ||A_S (x - a_S)||; with
+    ``derivatives``, (f, grad f, H).  The j = 1 terms (A_S = I, given as
+    None) run in one piece on the (d, n) view a.T, contiguous for a
+    column-major cloud; the others in slices of A within _CHUNK elements or
+    of one subset."""
     d = x.size
     value, grad, hess = 0.0, np.zeros(d), np.zeros((d, d))
     for a, w, A in groups:
-        rows = max(1, len(w) if A is None else _CHUNK // (A.shape[1] * d))
+        if A is None:
+            u = x[:, None] - a.T
+            s = np.sqrt(np.einsum("kn,kn->n", u, u) + eps * eps)
+            value += float(w @ s)
+            if derivatives:
+                c = w / s
+                grad += u @ c
+                hess += c.sum() * np.eye(d) - (u * (c / (s * s))) @ u.T
+            continue
+        rows = max(1, _CHUNK // (A.shape[1] * d))
         for r in range(0, len(w), rows):
-            ws, u = w[r : r + rows], x - a[r : r + rows]
-            As = None if A is None else A[r : r + rows]
-            y = u if As is None else np.einsum("skd,sd->sk", As, u)
+            ws, As, u = w[r : r + rows], A[r : r + rows], x - a[r : r + rows]
+            y = np.einsum("skd,sd->sk", As, u)
             s = np.sqrt(np.einsum("sk,sk->s", y, y) + eps * eps)
             value += float(ws @ s)
             if derivatives:
                 c = ws / s
-                u = u if As is None else np.einsum("skd,sk->sd", As, y)  # x - a_S off the flat
+                u = np.einsum("skd,sk->sd", As, y)  # x - a_S off the flat
                 grad += c @ u
-                hess += (c.sum() * np.eye(d) if As is None
-                         else (As * c[:, None, None]).reshape(-1, d).T @ As.reshape(-1, d))
+                hess += (As * c[:, None, None]).reshape(-1, d).T @ As.reshape(-1, d)
                 hess -= (u * (c / (s * s))[:, None]).T @ u
     return (value, grad, hess) if derivatives else value
 
@@ -263,8 +287,11 @@ def _face_median(pts: np.ndarray, e: int, orders, opts: SolverOptions, constant:
     A stage ends when a step is shorter than max(1e-3 eps, 1e-14) or leaves
     the smoothed value unchanged: the floor can fall below the rounding
     unit of |x| far from the origin, and along a flat valley no step lowers
-    the value.  ``opts.max_iter`` caps the Newton steps over all stages;
-    converged means the last stage ended within that cap.  The argmin maps
+    the value.  It also ends at a failed trial step whose change of value
+    and predicted decrease are both at the rounding of the value, rather
+    than halving down to the floor.  ``opts.max_iter`` caps the Newton steps
+    over all stages; converged means the last stage ended within that cap.
+    The j = 1 terms run fastest on a column-major ``pts``.  The argmin maps
     back by 2^e, a V_j value by 2^(je).  The Wills sum (a ``constant``)
     mixes degrees: its order-j weights take 2^(je) and the whole sum 2^-top,
     top = d max(e, 0), so no weight grows and no derivative overflows.
@@ -293,6 +320,12 @@ def _face_median(pts: np.ndarray, e: int, orders, opts: SolverOptions, constant:
                 f_new = _face_value(groups, x + t * p, eps)
                 if f_new <= f + 1e-4 * t * slope:
                     x = x + t * p
+                    break
+                # Where the trial's change and the decrease the slope
+                # predicts are both at the rounding of f, no shorter step can
+                # show a decrease: the stage ends here, not at the floor.
+                if abs(f_new - f) <= 2 * _EPS * abs(f) and -t * slope <= 16 * _EPS * abs(f):
+                    t = 0.0
                     break
                 t *= 0.5
             # A step may pass the test yet leave the value where it was:
@@ -328,7 +361,7 @@ def vj_median(cloud: PointCloud, j: int, opts: SolverOptions | None = None) -> M
     d = cloud.dim
     if not 1 <= j <= d:
         raise ValueError(f"need 1 <= j <= d, got j={j}, d={d}")
-    pts, e = _normalized(cloud.points)
+    pts, e = _normalized(cloud.points, "F")
     if j >= 2 and _affine_rank(pts) < j:
         raise DegenerateCloudError(
             f"cloud lies in a flat of dimension < {j}; V_{j} objective is degenerate"
@@ -339,7 +372,7 @@ def vj_median(cloud: PointCloud, j: int, opts: SolverOptions | None = None) -> M
 def wills_median(cloud: PointCloud, opts: SolverOptions | None = None) -> MedianResult:
     """Minimize the Wills functional W(Z(x)) = 1 + sum_j V_j(Z(x)), a sum of
     convex V_j objectives, with the same face-form Newton solve."""
-    pts, e = _normalized(cloud.points)
+    pts, e = _normalized(cloud.points, "F")
     return _face_median(pts, e, range(1, cloud.dim + 1), opts or SolverOptions(), constant=1.0)
 
 

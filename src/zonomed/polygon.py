@@ -133,19 +133,21 @@ def _segment_distances(points: np.ndarray, poly: ConvexPolygon2D) -> np.ndarray:
 
     Points and vertices are divided by the power of two of max|v| (_rescaled),
     so squared edge lengths of a tiny or huge polygon neither under- nor
-    overflow, and the distances are mapped back: exact while normal.
+    overflow, and the distances are mapped back: exact while normal.  A point
+    is inside when it lies left of or on every edge; only the rows outside
+    look for their nearest foot on an edge.
     """
     v, s = _rescaled(poly.vertices)
     points = np.ldexp(points, -s)
     edges = np.roll(v, -1, axis=0) - v
-    edge_sq = np.einsum("ij,ij->i", edges, edges)
     rel = points[:, None, :] - v[None, :, :]  # (N, k, 2)
-    t = np.einsum("nkj,kj->nk", rel, edges) / edge_sq[None, :]
-    t = np.clip(t, 0.0, 1.0)
-    foot = rel - t[:, :, None] * edges[None, :, :]
-    dist = np.sqrt(np.einsum("nkj,nkj->nk", foot, foot)).min(axis=1)
     crosses = edges[None, :, 0] * rel[:, :, 1] - edges[None, :, 1] * rel[:, :, 0]
-    dist[np.all(crosses >= 0.0, axis=1)] = 0.0
+    outside = ~np.all(crosses >= 0.0, axis=1)
+    rel = rel[outside]
+    t = np.einsum("nkj,kj->nk", rel, edges) / np.einsum("ij,ij->i", edges, edges)
+    foot = rel - np.clip(t, 0.0, 1.0)[:, :, None] * edges
+    dist = np.zeros(len(points))
+    dist[outside] = np.sqrt(np.einsum("nkj,nkj->nk", foot, foot)).min(axis=1)
     return np.ldexp(dist, s)
 
 

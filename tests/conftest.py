@@ -55,11 +55,12 @@ def random_spd(rng: np.random.Generator, d: int, lo: float = 0.5, hi: float = 5.
 
 
 def record_calls(monkeypatch, module, *names) -> dict[str, list[np.ndarray]]:
-    """Wrap each named function of ``module``; record a copy of every first argument."""
+    """Wrap each named function of ``module``; record a copy of every first
+    argument that is an array, and any other first argument as given."""
     calls = {name: [] for name in names}
     for name in names:
         def wrapped(a, *args, _name=name, _real=getattr(module, name), **kwargs):
-            calls[_name].append(np.array(a))
+            calls[_name].append(np.array(a) if isinstance(a, np.ndarray) else a)
             return _real(a, *args, **kwargs)
 
         monkeypatch.setattr(module, name, wrapped)

@@ -36,7 +36,13 @@ from zonomed.medians import (
     _start_points,
 )
 from zonomed.zonotope import unit_ball_volume, wills_of_generators
-from conftest import face_form_charge, refined_grid_minimum, rotation_matrix, subset_volume_sum
+from conftest import (
+    face_form_charge,
+    record_calls,
+    refined_grid_minimum,
+    rotation_matrix,
+    subset_volume_sum,
+)
 
 
 def _cloud_scale(points):
@@ -983,6 +989,89 @@ def test_l1_face_forms_build_no_wedge_matrices():
     # guard (a 32 MB sample here).
     ((a, w, A),) = _face_forms(np.zeros((400_000, 10)), (1,))
     assert A is None and a.shape == (400_000, 10) and len(w) == 400_000
+
+
+@pytest.mark.parametrize("shift", [0.0, 1e6])
+@pytest.mark.parametrize("k", [-60, 0, 60])
+def test_l1_face_value_on_the_column_major_cloud(shift, k):
+    # The j = 1 terms run on the (d, n) view of a column-major cloud.  Only
+    # the order of summation parts them from the row-major formula, so they
+    # agree to a few units of round-off of each sum of absolute terms.
+    rng = np.random.default_rng(31)
+    pts = np.ldexp(rng.standard_normal((500, 4)) + shift, k)
+    groups = [(np.asfortranarray(pts), np.ones(len(pts)), None)]
+    points = np.ldexp(0.3 * rng.standard_normal((3, 4)) + shift, k)
+    unit = np.finfo(float).eps
+    for x, eps in zip(points, [0.0, math.ldexp(1e-6, k), math.ldexp(1e-2, k)]):
+        value, grad, hess = _face_value(groups, x, eps, derivatives=True)
+        u = x - pts
+        s = np.sqrt(np.einsum("sk,sk->s", u, u) + eps * eps)
+        c = 1.0 / s
+        assert abs(value - s.sum()) <= 8 * unit * s.sum()
+        assert np.all(np.abs(grad - c @ u) <= 8 * unit * (np.abs(u) * c[:, None]).sum(axis=0))
+        expected = c.sum() * np.eye(4) - (u * (c / (s * s))[:, None]).T @ u
+        assert np.all(np.abs(hess - expected) <= 16 * unit * c.sum())
+
+
+def test_median_solves_hold_one_column_major_cloud(monkeypatch):
+    # _normalized writes the scaled cloud column-major, and the j = 1 group
+    # is that array itself: its a.T is a contiguous (d, n) view, no copy
+    pts, _ = _normalized(np.random.default_rng(32).standard_normal((300, 3)), "F")
+    ((a, _, _),) = _face_forms(pts, (1,))
+    assert np.shares_memory(a, pts) and a.T.flags.c_contiguous
+    calls = record_calls(monkeypatch, medians, "_face_forms")
+    cloud = PointCloud(np.random.default_rng(33).standard_normal((12, 3)))
+    v1_median(cloud)
+    vj_median(cloud, 2)
+    wills_median(cloud)
+    assert len(calls["_face_forms"]) == 3
+    assert all(p.flags.f_contiguous and not p.flags.c_contiguous for p in calls["_face_forms"])
+    assert _normalized(cloud.points)[0].flags.c_contiguous  # the polar median's layout
+
+
+def test_l1_line_search_stops_at_rounding(monkeypatch):
+    # A stage whose failed trial step moves the value and the predicted
+    # decrease only at the rounding of the value ends there; halving the
+    # step down to the floor took 61 evaluations here, one per halving.
+    pts = np.random.default_rng(3).standard_normal((20000, 5))
+    calls = record_calls(monkeypatch, medians, "_face_value")
+    r = v1_median(PointCloud(pts))
+    assert r.converged and not r.non_unique
+    assert len(calls["_face_value"]) <= 50
+    diff = r.argmin - pts
+    pull = (diff / np.linalg.norm(diff, axis=1)[:, None]).sum(axis=0)
+    assert np.linalg.norm(pull) <= 1e-6
+
+
+@pytest.mark.parametrize("n, d, orders", [(7, 3, (1, 2, 3)), (9, 4, (2, 3, 4)), (6, 2, (2,)), (8, 15, (7,))])
+def test_face_forms_hold_orthonormal_rows(n, d, orders):
+    # each A_S is d - j + 1 orthonormal rows spanning the complement of the
+    # subset's edges, not the C(d, j) rows of the wedge it comes from
+    pts = np.random.default_rng(n + d).standard_normal((n, d))
+    for (a, w, A), j in zip(_face_forms(pts, orders), orders):
+        if j == 1:
+            assert A is None
+            continue
+        assert A.shape == (len(w), d - j + 1, d) == (math.comb(n, j), d - j + 1, d)
+        gram = A @ A.transpose(0, 2, 1)
+        assert np.abs(gram - np.eye(d - j + 1)).max() <= 1e-14
+        # and orthogonal to the subset's edges; the subsets come by first
+        # point, the rest of each in colex order
+        subsets = [(i, *T) for i in range(n) for T in sorted(
+            itertools.combinations(range(i + 1, n), j - 1), key=lambda T: T[::-1])]
+        for rows, first, S in zip(A, a, subsets):
+            assert np.array_equal(first, pts[S[0]])
+            edges = pts[list(S[1:])] - pts[S[0]]
+            assert np.abs(rows @ edges.T).max() <= 1e-14 * np.abs(edges).max() * d
+
+
+def test_high_dimensional_medians_keep_their_values():
+    # order-7 and Wills medians of 8 points in R^15, whose forms hold 9 and
+    # 15 down to 1 rows per subset, against the values the C(15, j)-row
+    # wedge forms gave
+    cloud = PointCloud(np.random.default_rng(0).standard_normal((8, 15)))
+    assert vj_median(cloud, 7).value == pytest.approx(6986.264796417997, rel=1e-12)
+    assert wills_median(cloud).value == pytest.approx(41635.51132091949, rel=1e-12)
 
 
 @pytest.mark.parametrize(

@@ -141,6 +141,38 @@ class TestDistance:
         assert distances(1) == default
         assert distances(2 * len(poly.vertices) * len(pts)) == default
 
+    @pytest.mark.parametrize("case", ["integer", "zonotope"])
+    def test_containment_first_keeps_every_bit(self, case):
+        # containment is decided first and only the rows outside look for an
+        # edge foot; every distance keeps the bits of the formula that finds
+        # feet for all rows, inside, outside, on edges and at vertices
+        rng = np.random.default_rng(8)
+        if case == "integer":  # dyadic points on its edges lie on them exactly
+            poly = ConvexPolygon2D([[0, 0], [4, 0], [6, 2], [4, 4], [0, 3]])
+        else:
+            poly = zonotope_polygon_2d(random_zonotope(rng, 2, 5))
+        v = poly.vertices
+        edges = np.roll(v, -1, axis=0) - v
+        on_edges = (v[:, None, :] + np.array([0.25, 0.5, 0.75])[:, None] * edges[:, None, :]).reshape(-1, 2)
+        lo, hi = v.min(axis=0), v.max(axis=0)
+        pts = np.vstack([rng.uniform(2 * lo - hi, 2 * hi - lo, size=(3000, 2)), v, on_edges])
+
+        v_, s = polygon._rescaled(v)
+        e_ = np.roll(v_, -1, axis=0) - v_
+        rel = np.ldexp(pts, -s)[:, None, :] - v_[None, :, :]
+        t = np.clip(np.einsum("nkj,kj->nk", rel, e_) / np.einsum("ij,ij->i", e_, e_), 0.0, 1.0)
+        foot = rel - t[:, :, None] * e_
+        every_row = np.sqrt(np.einsum("nkj,nkj->nk", foot, foot)).min(axis=1)
+        every_row[np.all(e_[:, 0] * rel[:, :, 1] - e_[:, 1] * rel[:, :, 0] >= 0.0, axis=1)] = 0.0
+        every_row = np.ldexp(every_row, s)
+
+        out = distances_to_polygon(pts, poly)
+        assert out.tobytes() == every_row.tobytes()
+        assert 0 < np.count_nonzero(out[:3000]) < 3000
+        assert np.all(out[3000:3000 + len(v)] == 0.0)
+        if case == "integer":
+            assert np.all(out[3000:] == 0.0)
+
     @pytest.mark.parametrize("k", [-1000, -531, -60, 60, 500, 1000])
     def test_distances_scale_by_powers_of_two(self, k):
         # computed on the polygon divided by its own power of two, so squared
