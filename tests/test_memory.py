@@ -14,7 +14,7 @@ import tracemalloc
 
 import numpy as np
 
-from zonomed import cli, empirical
+from zonomed import cli, empirical, zonotope
 from zonomed.cli import _read_csv, main
 from zonomed.directions import sphere_directions
 from zonomed.empirical import EmpiricalSample, NormReduction, RegressorConfig, _conditional_mean
@@ -102,7 +102,9 @@ def test_polar_evaluation():
 
 # Peaks of exact V_3 at (m, d) = (400, 3) and of V_4 at (100, 4) when the
 # kernel wedged one block per largest element and summed _CHUNK-term
-# buffers: 2.60 and 2.68 MB.  Grouping blocks must not raise them.
+# buffers: 2.60 and 2.68 MB.  Grouping blocks must not raise them.  V_3 at
+# (400, 3) now pivots onto the planar prefix sum (m >= _PIVOT_FROM), whose
+# pivot slices must stay within the same bound.
 KERNEL_PEAK = {(400, 3, 3): 2.60 * MB, (100, 4, 4): 2.68 * MB}
 
 
@@ -114,15 +116,17 @@ def test_exact_kernel():
 
 
 def test_batched_objective():
-    # a 13^3 grid of query points at (n, d, j) = (7, 3, 3): the batches
-    # keep every temporary within _CHUNK elements, so the batch holds no
-    # more than the kernel's budget above, beside the grid and its values
-    cloud = PointCloud(np.random.default_rng(9).standard_normal((7, 3)))
-    axis = np.linspace(-2.0, 2.0, 13)
-    grid = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1).reshape(-1, 3)
-    values, peak = traced_peak(lambda: vj_objective(grid, cloud, 3))
-    assert values.shape == (2197,)
-    assert peak <= KERNEL_PEAK[400, 3, 3] + values.nbytes
+    # a 13^3 grid of query points at (n, d, j) = (7, 3, 3), and a 5^3 grid
+    # at n = _PIVOT_FROM, where V_3 pivots: the batches keep every temporary
+    # within _CHUNK elements, so the batch holds no more than the kernel's
+    # budget above, beside the grid and its values
+    for n, size in [(7, 13), (zonotope._PIVOT_FROM, 5)]:
+        cloud = PointCloud(np.random.default_rng(9).standard_normal((n, 3)))
+        axis = np.linspace(-2.0, 2.0, size)
+        grid = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1).reshape(-1, 3)
+        values, peak = traced_peak(lambda: vj_objective(grid, cloud, 3))
+        assert values.shape == (size**3,)
+        assert peak <= KERNEL_PEAK[400, 3, 3] + values.nbytes
 
 
 # Peaks of the face forms of the Oja median at (n, d) = (60, 3) and of the

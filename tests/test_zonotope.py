@@ -545,3 +545,65 @@ def test_mc_top_order_does_not_depend_on_batch(monkeypatch, d):
     default = mc_intrinsic_volume(z, d, 3000, seed=9)
     monkeypatch.setattr(zonotope, "_CHUNK", 1)
     assert mc_intrinsic_volume(z, d, 3000, seed=9) == default
+
+
+_BELOW, _ABOVE = zonotope._PIVOT_FROM - 1, zonotope._PIVOT_FROM
+
+
+def _pivot_case(kind, m):
+    """m generators in R^3: Gaussian, near-flat (third coordinate 1e-7),
+    within 1e-6 rad of one line, or an integer grid with repeated,
+    antiparallel and zero rows."""
+    rng = np.random.default_rng(m)
+    if kind == "gaussian":
+        return rng.standard_normal((m, 3))
+    if kind == "flat":
+        return rng.standard_normal((m, 3)) * [1.0, 1.0, 1e-7]
+    if kind == "line":
+        frame = rotation_matrix(rng, 3)
+        tilt = np.column_stack([np.ones(m), 1e-6 * rng.uniform(-0.7, 0.7, (m, 2))])
+        return rng.uniform(0.5, 2.0, (m, 1)) * tilt @ frame.T
+    gens = rng.integers(-3, 4, (m - 4, 3)).astype(float)
+    picks = rng.integers(0, m - 4, 3)
+    return np.vstack([gens, gens[picks[:2]], -gens[picks[2:]], np.zeros((1, 3))])
+
+
+_PIVOT_KINDS = ["gaussian", "flat", "line", "grid"]
+
+
+@pytest.mark.parametrize("k", [0, 200, -200])
+@pytest.mark.parametrize("kind", _PIVOT_KINDS)
+@pytest.mark.parametrize("m", [_BELOW, _ABOVE], ids=["minors", "pivots"])
+def test_v3_agrees_across_the_pivot_crossover(m, kind, k):
+    # just below _PIVOT_FROM V_3 in R^3 comes from the 3 x 3 minors, from it
+    # on by pivoting onto the planar prefix sum; both match the QR reference
+    # (the near-flat sets to 1e-12 relative) and scale exactly by 2^(3k)
+    base = _pivot_case(kind, m)
+    gens = np.ldexp(base, k)
+    got = intrinsic_volume_of_generators(gens, 3)
+    expected = subset_volume_sum(gens, 3)
+    if kind == "flat":
+        assert got == pytest.approx(expected, rel=1e-12)
+    else:
+        assert abs(got - expected) <= 1e-12 * _hadamard_bound(gens, 3)
+    assert got == math.ldexp(intrinsic_volume_of_generators(base, 3), 3 * k)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("kind", _PIVOT_KINDS)
+def test_pivot_v3_is_permutation_exact(kind, seed):
+    # a pivot's terms depend on it and the multiset of the other generators,
+    # and the sum of all of them is rounded once
+    gens = _pivot_case(kind, _ABOVE + 9)
+    perm = np.random.default_rng(seed).permutation(len(gens))
+    assert intrinsic_volume_of_generators(gens[perm], 3) == intrinsic_volume_of_generators(gens, 3)
+
+
+def test_pivot_batch_has_the_bits_of_single_calls():
+    # 400 query points take three of discrepancy_volumes' batches at
+    # n = 40; three of them are sample points, whose zero generator pivots
+    n = _ABOVE
+    pts = np.random.default_rng(5).standard_normal((n, 3))
+    X = np.vstack([np.random.default_rng(6).standard_normal((397, 3)), pts[:3]])
+    values = zonotope.discrepancy_volumes(pts, X, 3)
+    assert values.tolist() == [intrinsic_volume_of_generators(x - pts, 3) for x in X]
