@@ -36,3 +36,16 @@ def random_direction(rng: np.random.Generator, dim: int) -> np.ndarray:
         norm = np.linalg.norm(u)
         if norm > 1e-12:
             return u / norm
+
+
+def _complement_rows(u: np.ndarray) -> np.ndarray:
+    """Rows other than row k of the Householder reflection I - 2 v v'/(v'v),
+    v = u + sign(u_k) e_k, k the axis of largest |u|, for each of the (..., d)
+    vectors u, unit or zero: (..., d - 1, d), an orthonormal basis of u-perp
+    for unit u.  v'v by matmul keeps the bits of one vector's v @ v."""
+    d = u.shape[-1]
+    k = np.abs(u).argmax(axis=-1)[..., None]
+    v = u + (np.arange(d) == k) * np.copysign(1.0, u)
+    w = v * (2.0 / (v[..., None, :] @ v[..., :, None])[..., 0])
+    kept = np.arange(d - 1) + (np.arange(d - 1) >= k)
+    return np.eye(d)[kept] - np.take_along_axis(u, kept, -1)[..., None] * w[..., None, :]

@@ -228,11 +228,12 @@ def symmetrize_sample(
 def polygon_steiner_symmetral_2d(poly: ConvexPolygon2D, u) -> ConvexPolygon2D:
     """Exact Steiner symmetral of a convex polygon in direction u.
 
-    The chord length along u is a piecewise-linear concave function of the
-    u-perp coordinate with breakpoints at vertex projections; the symmetral
-    is the polygon bounded by +/- half that function, reflected-symmetric
-    about the axis line and with the same area, found for the vertices / 2^s
-    (_rescaled) and scaled back exactly.
+    In the right-handed frame (w, u), t = w'x, the chord along u at t runs
+    from the lower chain to the upper one, the lower chain of the polygon
+    reflected in the t axis; np.interp on each chain gives the chord ends at
+    the vertex projections, the breakpoints of the concave piecewise-linear
+    chord length.  The symmetral is bounded by +/- half that length, found
+    for the vertices / 2^s (_rescaled) and scaled back exactly.
     """
     u = _check_unit(u)
     if u.size != 2:
@@ -241,33 +242,19 @@ def polygon_steiner_symmetral_2d(poly: ConvexPolygon2D, u) -> ConvexPolygon2D:
     verts, shift = _rescaled(poly.vertices)
     t = verts @ w
     s = verts @ u
-    span = float(t.max() - t.min())
-    if span <= 0.0:
+    if t.max() <= t.min():
         raise DegeneratePolygonError("polygon projects to a point")
     breaks = np.unique(t)
-    # where each edge (rows: breaks, columns: edges) meets the line t = break;
-    # an edge along u at that break contributes both of its ends
-    t1, s1 = np.roll(t, -1), np.roll(s, -1)
-    tb = breaks[:, None]
-    along = (t == t1) & (t == tb)
-    crossing = (t != t1) & (np.minimum(t, t1) <= tb) & (tb <= np.maximum(t, t1))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        cut = s + (s1 - s) * (tb - t) / (t1 - t)
-    lower = np.where(crossing, cut, np.where(along, np.minimum(s, s1), np.inf)).min(axis=1)
-    upper = np.where(crossing, cut, np.where(along, np.maximum(s, s1), -np.inf)).max(axis=1)
-    half = 0.5 * (upper - lower)
+    ends = []  # s on the lower chain, -s on the upper one
+    for tc, sc in ((t, s), (t[::-1], -s[::-1])):  # the polygon and its reflection, CCW
+        # the lower chain: from the lowest leftmost to the lowest rightmost vertex
+        start, stop = np.lexsort((sc, tc))[0], np.lexsort((sc, -tc))[0]
+        walk = (start + np.arange((stop - start) % len(t) + 1)) % len(t)
+        ends.append(np.interp(breaks, tc[walk], sc[walk]))
+    half = -0.5 * (ends[0] + ends[1])
     chain = np.concatenate([np.column_stack([breaks, -half]),
                             np.column_stack([breaks[::-1], half[::-1]])])
-    # drop the duplicated endpoints where the chord length vanishes
-    keep = []
-    for pt in chain:
-        if keep and np.allclose(pt, keep[-1], rtol=0.0, atol=1e-15 * span):
-            continue
-        keep.append(pt)
-    if np.allclose(keep[0], keep[-1], rtol=0.0, atol=1e-15 * span):
-        keep.pop()
-    frame = np.vstack([w, u])  # rows
-    planar = np.asarray(keep) @ frame
+    planar = chain @ np.vstack([w, u])
     return ConvexPolygon2D(np.ldexp(_prune_collinear(planar), shift))
 
 
@@ -285,10 +272,10 @@ def sample_uniform_polygon(poly: ConvexPolygon2D, n: int, seed: int) -> Empirica
     if polygon_area(verts) <= 0.0:
         raise DegeneratePolygonError("polygon has no area")
     anchor = verts[0]
-    b = verts[1:-1] - anchor
-    c = verts[2:] - anchor
-    fan, _ = _rescaled(verts[1:] - anchor)
-    bs, cs = fan[:-1], fan[1:]
+    fan = verts[1:] - anchor
+    b, c = fan[:-1], fan[1:]
+    scaled, _ = _rescaled(fan)
+    bs, cs = scaled[:-1], scaled[1:]
     tri_areas = 0.5 * np.abs(bs[:, 0] * cs[:, 1] - bs[:, 1] * cs[:, 0])
     rng = np.random.default_rng(seed)
     which = rng.choice(len(tri_areas), size=n, p=tri_areas / tri_areas.sum())
@@ -329,16 +316,17 @@ def theorem1_check(
     dist = distances_to_polygon(symmetrized.draws, symmetral)
     inside_fraction = float(np.mean(dist <= delta))
     chi_square, dof = _chi_square_uniformity(symmetrized.draws, symmetral)
-    area_p = poly.area
-    area_s = symmetral.area
+    # the relative error from both areas / 4^s, finite where they are not
+    _, shift = _rescaled(poly.vertices)
+    area_p, area_s = (polygon_area(np.ldexp(p.vertices, -shift)) for p in (poly, symmetral))
     return Theorem1Report(
         n=n,
         delta=float(delta),
         inside_fraction=inside_fraction,
         chi_square=chi_square,
         chi_square_dof=dof,
-        area_original=area_p,
-        area_symmetral=area_s,
+        area_original=poly.area,
+        area_symmetral=symmetral.area,
         area_rel_error=abs(area_s - area_p) / area_p,
     )
 

@@ -6,9 +6,9 @@ the conditional expectation is linear, so the step is a closed-form linear
 map: the covariance becomes A S A' with A = I - c u u' S^-1 P and
 1/c = -u'S^-1 u, and the mean loses its u-component.  The regression
 behind A is one least-squares solve on a factor F of S (F'F = S) in a
-Householder basis of u-perp; the sample step 'exact_linear' runs the same
-solve on its centred draws, so it maps the sample's mean and 1/N
-covariance exactly as this module maps a Gaussian state.  Symmetrizing along
+Householder basis of u-perp (directions._complement_rows); the sample step
+'exact_linear' runs the same solve on its centred draws, so it maps the
+sample's mean and 1/N covariance exactly as this module maps a Gaussian state.  Symmetrizing along
 the direction bisecting two eigenvectors replaces that eigenvalue pair by
 its arithmetic and harmonic means; iterating drives the law to spherical
 symmetry with the determinant conserved.
@@ -19,6 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from .directions import _complement_rows
 
 _UNIT_TOL = 1e-12
 _SYM_TOL = 1e-12
@@ -95,19 +97,10 @@ def _check_unit(u) -> np.ndarray:
 
 
 def complement_basis(u) -> np.ndarray:
-    """Deterministic orthonormal basis of u-perp, rows of a (d-1, d) array.
-
-    The rows of the Householder reflection H = I - 2 v v'/(v'v) with
-    v = u + sign(u_k) e_k, k the axis of largest |u|, other than row k:
-    H is symmetric and orthogonal with H e_k = -sign(u_k) u, so the other
-    rows span u-perp.  A fixed convention, so repeated runs agree bit for bit.
-    """
-    u = _check_unit(u)
-    k = int(np.argmax(np.abs(u)))
-    v = u.copy()
-    v[k] += np.copysign(1.0, u[k])
-    reflection = np.eye(u.size) - np.outer(v, v * (2.0 / (v @ v)))
-    return np.delete(reflection, k, axis=0)
+    """Deterministic orthonormal basis of u-perp, rows of a (d-1, d) array:
+    the Householder rows of directions._complement_rows, which the V_3
+    pivots share.  A fixed convention, so repeated runs agree bit for bit."""
+    return _complement_rows(_check_unit(u))
 
 
 def _complement_regression(factor: np.ndarray, u: np.ndarray) -> tuple[float, np.ndarray]:

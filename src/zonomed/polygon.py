@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FlatZonotopeError
-from .zonotope import MonteCarloEstimate, Zonotope, intrinsic_volume
+from .zonotope import MonteCarloEstimate, Zonotope, _upper_sorted, intrinsic_volume
 
 _WILLS_TAIL_TOL = 1e-6
 # Points per `distances_to_polygon` block: each (block, k, 2) float64 temporary
@@ -31,10 +31,7 @@ class ConvexPolygon2D:
             raise ValueError("a polygon needs at least 3 vertices")
         if not np.all(np.isfinite(verts)):
             raise ValueError("vertices must be finite")
-        edges, _ = _rescaled(np.roll(verts, -1, axis=0) - verts)
-        nxt = np.roll(edges, -1, axis=0)
-        crosses = edges[:, 0] * nxt[:, 1] - edges[:, 1] * nxt[:, 0]
-        if np.any(crosses <= 0.0):
+        if len(_prune_collinear(verts, 0.0)) < len(verts):
             raise ValueError("vertices must be strictly convex in CCW order")
         self.vertices = verts
 
@@ -49,9 +46,10 @@ class ConvexPolygon2D:
 
     @property
     def diameter(self) -> float:
-        v = self.vertices
+        """Taken on the vertices / 2^s (_rescaled) and mapped back by 2^s."""
+        v, s = _rescaled(self.vertices)
         diff = v[:, None, :] - v[None, :, :]
-        return float(np.sqrt((diff**2).sum(-1).max()))
+        return _ldexp(np.sqrt((diff**2).sum(-1).max()), s)
 
     def bounding_box(self) -> np.ndarray:
         """[[xmin, xmax], [ymin, ymax]]."""
@@ -66,66 +64,49 @@ def _rescaled(v: np.ndarray) -> tuple[np.ndarray, int]:
     return np.ldexp(v, -s), s
 
 
+def _ldexp(x, s: int) -> float:
+    """x 2^s as a float, inf where it leaves float64."""
+    with np.errstate(over="ignore"):
+        return float(np.ldexp(x, s))
+
+
 def _prune_collinear(verts: np.ndarray, tol: float = 1e-12) -> np.ndarray:
-    """Drop repeated and collinear vertices, relative to the polygon's extent;
-    the tests run on the edges divided by a power of two (_rescaled)."""
-    incoming, shift = _rescaled(verts - np.roll(verts, 1, axis=0))  # row i: v_i - v_(i-1)
-    scale = math.ldexp(float(np.ptp(verts, axis=0).max()), -shift)
-    keep = []
-    k = len(verts)
-    for i in range(k):
-        e0, e1 = incoming[i], incoming[(i + 1) % k]
-        if np.linalg.norm(e0) <= tol * scale:
-            continue
-        cross = e0[0] * e1[1] - e0[1] * e1[0]
-        if cross <= tol * scale * scale:
-            continue
-        keep.append(verts[i])
-    return np.asarray(keep)
+    """Drop each vertex within tol of the next, so one of each near-duplicate
+    pair stays, then each collinear or reflex one, relative to the perimeter;
+    the tests run on the edges divided by a power of two (_rescaled).  tol = 0
+    keeps every vertex of a strictly convex CCW polygon."""
+    edges, shift = _rescaled(np.roll(verts, -1, axis=0) - verts)  # row i: v_(i+1) - v_i
+    lengths = np.hypot(edges[:, 0], edges[:, 1])
+    scale = tol * float(lengths.sum())
+    verts = verts[lengths > scale]
+    out = np.ldexp(np.roll(verts, -1, axis=0) - verts, -shift)
+    into = np.roll(out, 1, axis=0)
+    return verts[into[:, 0] * out[:, 1] - into[:, 1] * out[:, 0] > scale * scale]
 
 
 def zonotope_polygon_2d(zonotope: Zonotope) -> ConvexPolygon2D:
     """Boundary polygon of a planar zonotope.
 
-    Generators are flipped into the upper half-plane (adjusting the base
-    point), merged when parallel, sorted by angle, and walked forward then
-    backward.  Raises FlatZonotopeError when the generators span less than
-    the full plane.
+    The generators / 2^s (_rescaled) flip into the upper half-plane and sort
+    by angle as for V_2 (zonotope._upper_sorted), and exactly parallel
+    neighbours merge.  The boundary is two chains from the base point that
+    the flipped generators move: the edges forward, then backward.  Raises
+    FlatZonotopeError when the generators span less than the full plane.
     """
     if zonotope.dim != 2:
         raise ValueError("zonotope_polygon_2d needs a 2D zonotope")
-    gens = zonotope.generators
-    norms = np.hypot(gens[:, 0], gens[:, 1])
-    gens = gens[norms > 0.0]
-    base = zonotope.center.copy()
-    flipped = []
-    for g in gens:
-        if g[1] < 0.0 or (g[1] == 0.0 and g[0] < 0.0):
-            base += g
-            flipped.append(-g)
-        else:
-            flipped.append(g)
-    if not flipped:
+    gens = zonotope.generators[zonotope.generators.any(axis=1)]
+    if not len(gens):
         raise FlatZonotopeError("all generators are zero")
-    # merged and tested divided by the power of two of max|g|, so that
-    # cross products of tiny or huge generators neither under- nor overflow
-    flipped, e = _rescaled(np.asarray(flipped))
-    order = np.argsort(np.arctan2(flipped[:, 1], flipped[:, 0]), kind="stable")
-    flipped = flipped[order]
-    # merge exactly parallel neighbours into a single edge vector
-    merged = [flipped[0].copy()]
-    for g in flipped[1:]:
-        if merged[-1][0] * g[1] - merged[-1][1] * g[0] == 0.0:
-            merged[-1] += g
-        else:
-            merged.append(g.copy())
-    if len(merged) < 2:
+    scaled, e = _rescaled(gens)
+    x, y, flip = (a[0] for a in _upper_sorted(scaled[None]))
+    base = zonotope.center + gens[flip].sum(axis=0)
+    starts = np.flatnonzero(np.r_[True, x[:-1] * y[1:] - y[:-1] * x[1:] != 0.0])
+    if len(starts) < 2:
         raise FlatZonotopeError("generators are all parallel")
-    merged = np.ldexp(merged, e)
-    forward = base + np.vstack([np.zeros(2), np.cumsum(merged, axis=0)])
-    backward = forward[-1] - np.cumsum(merged, axis=0)
-    verts = np.vstack([forward, backward[:-1]])
-    return ConvexPolygon2D(_prune_collinear(verts))
+    edges = np.ldexp(np.add.reduceat(np.column_stack([x, y]), starts), e)
+    walk = np.cumsum(np.vstack([edges, -edges[:-1]]), axis=0)
+    return ConvexPolygon2D(_prune_collinear(base + np.vstack([np.zeros(2), walk])))
 
 
 def _segment_distances(points: np.ndarray, poly: ConvexPolygon2D) -> np.ndarray:
@@ -246,8 +227,10 @@ def clip_polygon_to_rect(
 
 
 def polygon_area(verts: np.ndarray) -> float:
-    """Shoelace area of a CCW vertex array (0 for fewer than 3 vertices)."""
+    """Shoelace area of a CCW vertex array (0 for fewer than 3 vertices), on
+    the vertices / 2^s (_rescaled) and mapped back by 4^s (inf past float64)."""
     if len(verts) < 3:
         return 0.0
-    w = np.roll(verts, -1, axis=0)
-    return 0.5 * float(np.sum(verts[:, 0] * w[:, 1] - w[:, 0] * verts[:, 1]))
+    v, s = _rescaled(verts)
+    w = np.roll(v, -1, axis=0)
+    return _ldexp(0.5 * np.sum(v[:, 0] * w[:, 1] - w[:, 0] * v[:, 1]), 2 * s)

@@ -10,9 +10,10 @@ j-volume of the parallelepiped G_S spans.  One kernel computes it:
 
 * j = 1: the sum of the generator norms.
 * j = 2 in the plane: flip every generator into the upper half-plane and
-  sort by angle; then every cross product g_i x g_k with i before k is
-  nonnegative, and V_2 = sum_k P_{k-1} x g_k with P the prefix sum, in
-  O(m log m).
+  sort by angle (_upper_sorted, which polygon.zonotope_polygon_2d shares to
+  walk the zonotope's boundary); then every cross product g_i x g_k with i
+  before k is nonnegative, and V_2 = sum_k P_{k-1} x g_k with P the prefix
+  sum, in O(m log m).
 * exact V_3 in R^3 of at least _PIVOT_FROM generators: every triple is
   counted from each of its three generators as pivot, V_3 = (1/3) sum_i
   |g_i| V_2(P_i G), P_i G the generators in 2-D coordinates on g_i-perp,
@@ -64,6 +65,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from .directions import _complement_rows
 
 # Elements per temporary array of the subset-volume kernel and of a face-form
 # evaluation, which take larger problems in slices; exact V_j ignores it.
@@ -269,16 +272,16 @@ def _minors_size(d: int, m: int, t: int, b: int) -> int:
     return size
 
 
-def _planar_terms(H: np.ndarray) -> np.ndarray:
-    """Terms max(P_{k-1} x g_k, 0) of V_2 for (b, m, 2) planar generator sets.
-
-    Each row is put in (angle, x, y) order, so tied angles come in a fixed
-    order and the result depends on the multiset of generators only: one
-    argsort of the angles orders every row, and the rows where two sorted
-    angles are equal are sorted again by all three keys.
-    """
+def _upper_sorted(H: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(x, y, flip) of (b, m, 2) planar generator sets: the generators below
+    the x axis, or on it and pointing left, flip (flip, in H's order), and
+    each row goes in (angle, x, y) order, so x and y (b, m) depend on the
+    multiset of generators only: one argsort of the angles orders every row,
+    and the rows with two equal sorted angles are sorted again by all three
+    keys."""
     x, y = H[..., 0], H[..., 1]
-    sign = np.where((y < 0.0) | ((y == 0.0) & (x < 0.0)), -1.0, 1.0)
+    flip = (y < 0.0) | ((y == 0.0) & (x < 0.0))
+    sign = np.where(flip, -1.0, 1.0)
     x, y = x * sign, y * sign
     angle = np.arctan2(y, x)
     order = np.argsort(angle, axis=-1)
@@ -286,34 +289,29 @@ def _planar_terms(H: np.ndarray) -> np.ndarray:
     tied = (sorted_angle[:, 1:] == sorted_angle[:, :-1]).any(axis=-1)
     if tied.any():
         order[tied] = np.lexsort((y[tied], x[tied], angle[tied]), axis=-1)
-    x, y = np.take_along_axis(x, order, axis=-1), np.take_along_axis(y, order, axis=-1)
+    return np.take_along_axis(x, order, axis=-1), np.take_along_axis(y, order, axis=-1), flip
+
+
+def _planar_terms(H: np.ndarray) -> np.ndarray:
+    """Terms max(P_{k-1} x g_k, 0) of V_2 for (b, m, 2) planar generator
+    sets, over the generators in _upper_sorted order."""
+    x, y, _ = _upper_sorted(H)
     Px, Py = np.cumsum(x[:, :-1], axis=1), np.cumsum(y[:, :-1], axis=1)
     return np.maximum(Px * y[:, 1:] - Py * x[:, 1:], 0.0)
-
-
-def _complement_rows(u: np.ndarray) -> np.ndarray:
-    """gauss.complement_basis of each of the (..., 3) vectors u, unit or
-    zero, as a (..., 2, 3) array: the rows other than row k of the
-    Householder reflection I - 2 v v'/(v'v), v = u + sign(u_k) e_k, k the
-    axis of largest |u|."""
-    k = np.abs(u).argmax(axis=-1)
-    v = u + (np.arange(3) == k[..., None]) * np.copysign(1.0, u)
-    w = v * (2.0 / np.sum(v * v, axis=-1, keepdims=True))
-    kept = np.array([[1, 2], [0, 2], [0, 1]])[k]
-    return np.eye(3)[kept] - np.take_along_axis(u, kept, -1)[..., None] * w[..., None, :]
 
 
 def _pivot_terms(H: np.ndarray):
     """Yield (k, b) arrays of nonnegative terms that sum to 3 V_3 of each of
     the b generator sets in H (b, m, 3).
 
-    |det(g_i, g_k, g_l)| = |g_i| |B g_k x B g_l|, B = _complement_rows of
-    g_i / |g_i|, so pivot g_i adds |g_i| V_2(B G), by _planar_terms, and
-    every triple comes from its three pivots.  The pivot's own row B g_i is
-    set to exact zero, so it adds exactly 0, and a zero pivot adds 0 times
-    finite terms.  Each pivot's terms depend on g_i and the multiset of the
-    other generators only.  Pivots go in slices whose planar coordinates
-    take at most _CHUNK / 2 elements.
+    |det(g_i, g_k, g_l)| = |g_i| |B g_k x B g_l|, B the Householder basis
+    of g_i-perp (directions._complement_rows), so pivot g_i adds
+    |g_i| V_2(B G), by _planar_terms, and every triple comes from its three
+    pivots.  The pivot's own row B g_i is set to exact zero, so it adds
+    exactly 0, and a zero pivot adds 0 times finite terms.  Each pivot's
+    terms depend on g_i and the multiset of the other generators only.
+    Pivots go in slices whose planar coordinates take at most _CHUNK / 2
+    elements.
     """
     b, m, _ = H.shape
     x, y, z = (H[:, None, None, :, c] for c in range(3))  # (b, 1, 1, m)

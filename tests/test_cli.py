@@ -7,6 +7,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -396,6 +397,22 @@ class TestEmpiricalCommand:
         base, scaled = run(1.0), run(scale)
         for key in ("inside_fraction", "chi_square_dof"):
             assert scaled[key] == base[key]
+
+    def test_theorem1_on_a_huge_square_names_only_the_areas(self, tmp_path, capsys):
+        # the areas of the 1e300 square leave float64; its diameter, the
+        # relative area error and delta do not, and no RuntimeWarning leaks
+        path = tmp_path / "square.json"
+        square = 1e300 * np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+        path.write_text(json.dumps({"vertices": square.tolist()}))
+        argv = ["empirical", "theorem1", "--polygon", str(path), "--u", "1,1",
+                "--n", "2000", "--seed", "11", "--output", str(tmp_path / "rep.json")]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = main(argv)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == "zonomed: error: not finite, so not strict JSON: area_original, area_symmetral\n"
+        assert not (tmp_path / "rep.json").exists()
 
     def test_explore_emits_one_line_per_step(self, sample_csv, tmp_path):
         out = tmp_path / "steps.jsonl"

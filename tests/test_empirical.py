@@ -25,7 +25,7 @@ from zonomed import (
     symmetrize_sample,
     theorem1_check,
 )
-from zonomed.directions import random_direction, sphere_directions
+from zonomed.directions import _complement_rows, random_direction, sphere_directions
 from zonomed.empirical import (
     _chi_square_uniformity,
     _conditional_mean,
@@ -33,6 +33,7 @@ from zonomed.empirical import (
     _window_means,
     _window_starts,
 )
+from zonomed.polygon import polygon_area
 from conftest import record_calls
 
 DIAG_U = np.array([1.0, 1.0]) / math.sqrt(2.0)
@@ -72,6 +73,30 @@ class TestComplementBasis:
         assert b.shape == (d - 1, d)
         np.testing.assert_allclose(b @ b.T, np.eye(d - 1), atol=1e-14)
         np.testing.assert_allclose(b @ u, np.zeros(d - 1), atol=1e-14)
+
+
+    @pytest.mark.parametrize("d", range(1, 9))
+    def test_bits_of_the_householder_formula(self, d):
+        # the batched rows keep the bits of the one-vector formula, whose
+        # v'v is v @ v; np.sum(v * v) differed on 7-20% of such vectors
+        rng = np.random.default_rng(d)
+        U = rng.standard_normal((300, d))
+        U[::7, 0] = 0.0 if d > 1 else 1.0  # exact zeros
+        U /= np.linalg.norm(U, axis=1, keepdims=True)
+        for u in U:
+            k = int(np.argmax(np.abs(u)))
+            v = u.copy()
+            v[k] += np.copysign(1.0, u[k])
+            expected = np.delete(np.eye(d) - np.outer(v, v * (2 / (v @ v))), k, 0)
+            assert complement_basis(u).tobytes() == expected.tobytes()
+
+    def test_bits_of_the_pivot_rows(self):
+        # the V_3 pivots take their bases of u-perp from the same rows
+        U = np.random.default_rng(3).standard_normal((4, 500, 3))
+        U /= np.linalg.norm(U, axis=-1, keepdims=True)
+        rows = _complement_rows(U)
+        for u, r in zip(U.reshape(-1, 3), rows.reshape(-1, 2, 3)):
+            assert complement_basis(u).tobytes() == r.tobytes()
 
 
 class TestSymmetrizeSample:
@@ -424,6 +449,68 @@ class TestPolygonSymmetral:
         for k in range(-1000, 1001, 50):
             out = polygon_steiner_symmetral_2d(ConvexPolygon2D(np.ldexp(verts, k)), u).vertices
             assert out.tobytes() == np.ldexp(base, k).tobytes()
+
+
+def _chord_ends(verts, u, t):
+    """(lowest, highest) u'x over the polygon's boundary points with w'x = t,
+    by intersecting the line with every edge; a point within 1e-12 of the
+    diameter past an edge's end counts as on it."""
+    w = np.array([u[1], -u[0]])
+    ts, ss = verts @ w, verts @ u
+    eps = 1e-12 * np.ptp(verts, axis=0).max()
+    ends = []
+    for i in range(len(verts)):
+        (t0, t1), (s0, s1) = ts[[i, i - 1]], ss[[i, i - 1]]
+        if min(t0, t1) - eps <= t <= max(t0, t1) + eps:
+            if abs(t1 - t0) <= eps:
+                ends += [s0, s1]
+            else:
+                ends.append(s0 + (s1 - s0) * np.clip((t - t0) / (t1 - t0), 0.0, 1.0))
+    return min(ends), max(ends)
+
+
+def _check_symmetral(verts, u):
+    poly = ConvexPolygon2D(verts)
+    out = polygon_steiner_symmetral_2d(poly, u).vertices
+    tol = 1e-12 * np.ptp(verts, axis=0).max()
+    assert polygon_area(out) == pytest.approx(poly.area, rel=1e-12)
+    # reflection in the t axis maps the vertex set to itself
+    reflected = out - 2.0 * (out @ u)[:, None] * u[None, :]
+    assert np.abs(reflected[:, None, :] - out[None, :, :]).max(axis=2).min(axis=1).max() <= tol
+    # at each vertex projection the chord is centred and keeps its length
+    for t in np.array([u[1], -u[0]]) @ verts.T:
+        lo, hi = _chord_ends(verts, u, t)
+        sym_lo, sym_hi = _chord_ends(out, u, t)
+        assert sym_hi == pytest.approx(0.5 * (hi - lo), abs=tol)
+        assert sym_lo == pytest.approx(-0.5 * (hi - lo), abs=tol)
+    # the vertex set does not depend on the cyclic start
+    for r in range(1, len(verts)):
+        turned = polygon_steiner_symmetral_2d(ConvexPolygon2D(np.roll(verts, r, axis=0)), u).vertices
+        np.testing.assert_array_equal(np.unique(turned, axis=0), np.unique(out, axis=0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(["zonotope", "9-gon"]),
+       angle=st.floats(0.0, 2.0 * math.pi), start=st.integers(0, 8))
+def test_symmetral_chords(seed, kind, angle, start):
+    rng = np.random.default_rng(seed)
+    if kind == "zonotope":
+        from zonomed import Zonotope, zonotope_polygon_2d
+
+        gens = rng.standard_normal((int(rng.integers(2, 7)), 2))
+        verts = zonotope_polygon_2d(Zonotope(gens)).vertices
+    else:  # as the benchmark's theorem1 polygons are drawn
+        angles = np.sort(rng.uniform(0.0, 2.0 * math.pi, size=9))
+        radii = rng.uniform(0.8, 1.2, size=2)
+        verts = np.column_stack([radii[0] * np.cos(angles), radii[1] * np.sin(angles)])
+    verts = np.roll(verts, start, axis=0)
+    _check_symmetral(verts, np.array([math.cos(angle), math.sin(angle)]))
+
+
+@pytest.mark.parametrize("u", [[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
+def test_symmetral_with_edges_along_u_at_both_ends(u):
+    # an axis rectangle: each end of the t range is an edge along u
+    _check_symmetral(np.array([[-1.0, 0.5], [2.0, 0.5], [2.0, 3.0], [-1.0, 3.0]]), np.array(u))
 
 
 class TestSampleUniformPolygon:

@@ -44,6 +44,16 @@ class TestConvexPolygon:
         assert square.diameter == pytest.approx(math.sqrt(2.0))
 
 
+    def test_prune_keeps_one_of_a_near_duplicate_pair(self):
+        # the corner (1, 1) and a vertex 1e-15 above it: dropping both, as
+        # one test of each vertex against its two edges did, left a triangle
+        verts = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [1.0, 1.0 + 1e-15], [0.0, 1.0]])
+        pruned = polygon._prune_collinear(verts)
+        assert len(pruned) == 4
+        corners = [v for v in pruned.tolist() if v[0] == 1.0 and v[1] >= 1.0]
+        assert len(corners) == 1
+
+
 class TestZonotopePolygon:
     def test_unit_square(self):
         poly = zonotope_polygon_2d(Zonotope([[1.0, 0.0], [0.0, 1.0]]))
