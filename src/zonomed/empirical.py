@@ -272,10 +272,10 @@ def sample_uniform_polygon(poly: ConvexPolygon2D, n: int, seed: int) -> Empirica
     if polygon_area(verts) <= 0.0:
         raise DegeneratePolygonError("polygon has no area")
     anchor = verts[0]
-    fan = verts[1:] - anchor
-    b, c = fan[:-1], fan[1:]
-    scaled, _ = _rescaled(fan)
-    bs, cs = scaled[:-1], scaled[1:]
+    b = verts[1:-1] - anchor
+    c = verts[2:] - anchor
+    fan, _ = _rescaled(verts[1:] - anchor)
+    bs, cs = fan[:-1], fan[1:]
     tri_areas = 0.5 * np.abs(bs[:, 0] * cs[:, 1] - bs[:, 1] * cs[:, 0])
     rng = np.random.default_rng(seed)
     which = rng.choice(len(tri_areas), size=n, p=tri_areas / tri_areas.sum())

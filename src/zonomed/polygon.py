@@ -72,16 +72,16 @@ def _ldexp(x, s: int) -> float:
 
 def _prune_collinear(verts: np.ndarray, tol: float = 1e-12) -> np.ndarray:
     """Drop each vertex within tol of the next, so one of each near-duplicate
-    pair stays, then each collinear or reflex one, relative to the perimeter;
-    the tests run on the edges divided by a power of two (_rescaled).  tol = 0
-    keeps every vertex of a strictly convex CCW polygon."""
-    edges, shift = _rescaled(np.roll(verts, -1, axis=0) - verts)  # row i: v_(i+1) - v_i
-    lengths = np.hypot(edges[:, 0], edges[:, 1])
-    scale = tol * float(lengths.sum())
-    verts = verts[lengths > scale]
-    out = np.ldexp(np.roll(verts, -1, axis=0) - verts, -shift)
+    pair stays, then each collinear or reflex one, relative to the extent; the
+    tests run on the vertices, then their edges, / powers of two (_rescaled),
+    so nothing overflows.  tol = 0 keeps each vertex of a strictly convex one."""
+    v, _ = _rescaled(verts)
+    edges, shift = _rescaled(np.roll(v, -1, axis=0) - v)  # row i: v_(i+1) - v_i
+    scale = math.ldexp(float(np.ptp(v, axis=0).max()), -shift)
+    keep = np.hypot(edges[:, 0], edges[:, 1]) > tol * scale
+    out = np.ldexp(np.roll(v[keep], -1, axis=0) - v[keep], -shift)
     into = np.roll(out, 1, axis=0)
-    return verts[into[:, 0] * out[:, 1] - into[:, 1] * out[:, 0] > scale * scale]
+    return verts[keep][into[:, 0] * out[:, 1] - into[:, 1] * out[:, 0] > tol * scale * scale]
 
 
 def zonotope_polygon_2d(zonotope: Zonotope) -> ConvexPolygon2D:

@@ -53,6 +53,11 @@ class TestConvexPolygon:
         corners = [v for v in pruned.tolist() if v[0] == 1.0 and v[1] >= 1.0]
         assert len(corners) == 1
 
+    def test_square_past_float64_extent(self):
+        # edges of 2e308 overflow; the tests run on vertices / 2^s and accept it
+        verts = 1e308 * np.array([[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0]])
+        assert np.array_equal(ConvexPolygon2D(verts).vertices, verts)
+
 
 class TestZonotopePolygon:
     def test_unit_square(self):
@@ -111,6 +116,14 @@ class TestZonotopePolygon:
         assert len(poly.vertices) == 4  # rectangle [0,3] x [0,1]
         assert poly.area == pytest.approx(intrinsic_volume(z, 2), rel=1e-12)
         assert poly.perimeter == pytest.approx(2.0 * intrinsic_volume(z, 1), rel=1e-12)
+
+    def test_parallel_generators_not_bit_parallel(self):
+        # (0.1, 0.3), (0.2, 0.6), (0.3, 0.9) are parallel only up to rounding:
+        # no exact merge, so the walk's joints are collinear to rounding
+        z = Zonotope([[0.1, 0.3], [0.2, 0.6], [0.3, 0.9], [0.0, 1.0]])
+        poly = zonotope_polygon_2d(z)
+        assert len(poly.vertices) == 4
+        assert poly.area == pytest.approx(0.6, rel=1e-12)
 
     def test_negative_generators_same_shape(self):
         a = zonotope_polygon_2d(Zonotope([[1.0, 0.2], [0.3, 1.0]]))
