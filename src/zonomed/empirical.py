@@ -5,10 +5,11 @@ finite sample by estimating the conditional expectation of the u-coordinate
 given the coordinates in the hyperplane u-perp, either by k-nearest-neighbor
 averaging or by the Gaussian step's linear regression fitted to the sample
 (`gauss._complement_regression` on the centred draws, exact for Gaussian
-laws).  The
-classical chord-shifting symmetral of a convex polygon is computed exactly
-for cross-validation, and an explorer applies repeated random-direction
-steps while reporting isotropy diagnostics.
+laws).  Every pass over a sample goes in blocks of _BLOCK elements, so a
+step holds the sample, its output and a few such blocks (kNN adds its
+tree).  The classical chord-shifting symmetral of a convex polygon is
+computed exactly for cross-validation, and an explorer applies repeated
+random-direction steps while reporting isotropy diagnostics.
 """
 
 from __future__ import annotations
@@ -32,10 +33,15 @@ from .polygon import (
     polygon_area,
 )
 
-# Neighbours per kd-tree query block: a block holds float64 distances and int64
-# indices, then the indices and the gathered u'X, so 16 MB.  2**19 held 8 MB
-# but made the perfbench symmetrize jobs 4-8% slower (2 vCPUs).
-_QUERY_NEIGHBOURS = 2**20
+# Elements per block array of every pass over a sample: a kd-tree query
+# block's distances and its indices (2 MB together), the stacked rows of the
+# exact_linear QR, a block of shifted draws, a block of the symmetry
+# statistic's probe values.  Against 2**20 neighbours per query, the perfbench
+# symmetrize peak RSS fell from 96.3 to 85.8 MB; 2**16 gave 85.5 MB, but a
+# query of fewer rows gains less from its second worker: on 2 vCPUs the
+# 10^4 x 3, k = 100 kNN mean took 125 ms in blocks of 2**16 neighbours,
+# 107 ms in blocks of 2**17 and 95 ms in one query (medians of 15 rounds).
+_BLOCK = 2**17
 # Cells per axis of the theorem-1 chi-square test over the symmetral's box.
 _CHI_SQUARE_GRID = 8
 
@@ -59,9 +65,11 @@ class EmpiricalSample:
 
     def __post_init__(self):
         draws = np.atleast_2d(np.asarray(self.draws, dtype=float))
-        if draws.ndim != 2 or draws.shape[0] < 1:
+        if draws.ndim != 2 or draws.size == 0:
             raise ValueError(f"draws must be an (N, d) array, got shape {draws.shape}")
-        if not np.all(np.isfinite(draws)):
+        # min and max are nan where any draw is, and infinite where any draw
+        # is, and they build no N x d temporary
+        if not (math.isfinite(draws.min()) and math.isfinite(draws.max())):
             raise ValueError("draws must be finite")
         self.draws = draws
 
@@ -132,52 +140,89 @@ class NormReduction:
     symmetrized: EmpiricalSample = field(repr=False, compare=False)
 
 
-def _conditional_mean(sample: EmpiricalSample, u: np.ndarray, cfg: RegressorConfig) -> np.ndarray:
+def _row_blocks(n: int, width: int) -> list[slice]:
+    """Consecutive row slices covering range(n), each of _BLOCK // width rows
+    (one at least) but the last."""
+    step = max(1, _BLOCK // width)
+    return [slice(s, s + step) for s in range(0, n, step)]
+
+
+def _conditional_mean(
+    sample: EmpiricalSample, u: np.ndarray, cfg: RegressorConfig, out: np.ndarray | None = None
+) -> np.ndarray:
     """Estimate m(p) = E[u'X | P X = p] at every draw.
 
     'exact_linear' is the Gaussian step's regression (`_complement_regression`)
     on the centred draws: the OLS fit of u'X on the coordinates of P X, the
-    minimum-norm one when those are rank-deficient.  'knn' averages u'X
-    over the k nearest draws in p = B X, B = complement_basis(u), the draw
-    itself included.  When p is one coordinate (d = 2) those neighbours are
-    a window of the sorted projections, found exactly in O(N log N) by
-    `_window_means`; otherwise a kd-tree is queried on every CPU the process
-    may run on (each row is searched alone, so the bytes do not depend on
-    their count) in blocks of about `_QUERY_NEIGHBOURS` neighbours, so no
-    N x k array is built.  A sample in R^1, or one whose projections all
-    agree to within the roundoff of computing them, 16 d eps max|X|, gets
-    the global mean.
+    minimum-norm one when those are rank-deficient, by a QR of one block of
+    rows at a time.  'knn' averages u'X over the k nearest draws in
+    p = B X, B = complement_basis(u), the draw itself included.  When p is
+    one coordinate (d = 2) those neighbours are a window of the sorted
+    projections, found exactly in O(N log N) by `_window_means`; otherwise a
+    kd-tree is queried on every CPU the process may run on (each row is
+    searched alone, so the bytes do not depend on their count) in blocks of
+    about _BLOCK neighbours, so no N x k array is built.  A sample in R^1,
+    or one whose projections all agree to within the roundoff of computing
+    them, 16 d eps max|X|, gets the global mean.  The N estimates are
+    written into ``out`` when it is given, a new array otherwise; beside the
+    sample and them, 'exact_linear' holds a few blocks of _BLOCK elements,
+    and 'knn' u'X, p and the tree too.
     """
-    if u.size != sample.dim:
-        raise ValueError(f"direction has dimension {u.size}, sample has {sample.dim}")
+    draws = sample.draws
+    n, d = draws.shape
+    if u.size != d:
+        raise ValueError(f"direction has dimension {u.size}, sample has {d}")
     if cfg.method == "knn":
-        k = cfg.resolve_k(sample.n)  # validates k <= N up front
-    y = sample.draws @ u
-    if sample.dim == 1:
-        return np.full(sample.n, y.mean())
-    p = sample.draws @ complement_basis(u).T
-    roundoff = 16.0 * sample.dim * np.finfo(float).eps * np.abs(sample.draws).max()
-    spread = np.ptp(p, axis=0)
-    if spread.max() <= roundoff:
-        # degenerate projected coordinates: the conditional mean is global
-        return np.full(sample.n, y.mean())
+        k = cfg.resolve_k(n)  # validates k <= N up front
+    mean = draws.mean(axis=0)
+    basis = complement_basis(u)
+    blocks = _row_blocks(n, d)
+    lo, hi = np.full(d - 1, np.inf), np.full(d - 1, -np.inf)
+    for rows in blocks:
+        p = draws[rows] @ basis.T
+        lo, hi = np.minimum(lo, p.min(axis=0)), np.maximum(hi, p.max(axis=0))
+    spread = hi - lo
+    roundoff = 16.0 * d * np.finfo(float).eps * max(draws.max(), -draws.min())
+    m_hat = np.empty(n) if out is None else out
+    if d == 1 or spread.max() <= roundoff:
+        # no projected coordinates, or degenerate ones: the conditional mean is global
+        m_hat.fill(mean @ u)
+        return m_hat
     if cfg.method == "exact_linear":
-        centred = sample.draws - sample.draws.mean(axis=0)
-        _, coeff_row = _complement_regression(centred, u)
-        return y.mean() + centred @ coeff_row
-    if p.shape[1] == 1:
-        return _window_means(p[:, 0], y, k)
+        # blocked tall-skinny QR (Demmel, Grigori, Hoemmen & Langou, SIAM J.
+        # Sci. Comput. 34, 2012): each block of centred draws is stacked under
+        # the running triangle R and factored again, so R'R is their scatter
+        # matrix; the QR of R [B', u] is its triangle in the frame (B', u)
+        step = min(n, blocks[0].stop)
+        stack = np.zeros((d + step, d))
+
+        def centred(rows):  # one block of centred draws, under the triangle
+            block = draws[rows]
+            return np.subtract(block, mean, out=stack[d : d + len(block)])
+
+        for rows in blocks:
+            size = len(centred(rows))
+            stack[:d] = np.linalg.qr(stack[: d + size], mode="r")
+        frame = np.vstack([basis, u]).T
+        _, coeff_row = _complement_regression(np.linalg.qr(stack[:d] @ frame, mode="r"), n, basis)
+        for rows in blocks:
+            np.matmul(centred(rows), coeff_row, out=m_hat[rows])
+        m_hat += mean @ u
+        return m_hat
+    y = draws @ u
+    p = draws @ basis.T
+    if d == 2:
+        m_hat[:] = _window_means(p[:, 0], y, k)
+        return m_hat
     # squared distances up to 2**1022 cannot overflow; scaled, hypot cannot either
     if np.hypot.reduce(spread * 2.0**-511) > 1.0:
         raise ValueError("projected draws span more than 2**511, too far for the kd-tree")
     # through the module, so the first use imports it and a replaced class is used
     tree = sys.modules[__name__].cKDTree(p)
-    rows = max(1, _QUERY_NEIGHBOURS // k)
     workers = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else -1
-    m_hat = np.empty(sample.n)
-    for start in range(0, sample.n, rows):
-        idx = tree.query(p[start:start + rows], k=k, workers=workers)[1]
-        m_hat[start:start + rows] = y[idx.reshape(-1, k)].mean(axis=1)
+    for rows in _row_blocks(n, k):
+        idx = tree.query(p[rows], k=k, workers=workers)[1]
+        m_hat[rows] = y[idx.reshape(-1, k)].mean(axis=1)
         del idx  # not held through the next block's query
     return m_hat
 
@@ -363,22 +408,33 @@ def norm_reduction_check(
     fitted conditional means squared (a least-squares identity); with knn
     the identity is approximate, so both sides are reported.  The shifted
     sample itself, what `symmetrize_sample` returns, comes back as
-    ``symmetrized``, so a caller that needs both runs one regression.
+    ``symmetrized``, so a caller that needs both runs one regression.  It
+    takes one buffer: the conditional means are written into its first
+    column, and each block of them is read before its rows are shifted in
+    place; the sums of squares are taken block by block, so beside the
+    sample and that buffer no more than a few blocks are held.
     """
     u = _check_unit(u)
     cfg = cfg or RegressorConfig()
-    m_hat = _conditional_mean(sample, u, cfg)
-    shifted = EmpiricalSample(sample.draws - m_hat[:, None] * u[None, :])
+    draws = sample.draws
+    shifted = np.empty(draws.shape)
+    m_hat = _conditional_mean(sample, u, cfg, shifted[:, 0])
+    before = after = regression = 0.0
     with np.errstate(over="ignore"):  # a mean square past float64 is inf
-        before = float(np.mean((sample.draws**2).sum(axis=1)))
-        after = float(np.mean((shifted.draws**2).sum(axis=1)))
-        regression_mean_square = float(np.mean(m_hat**2))
+        for rows in _row_blocks(*draws.shape):
+            block, out, m = draws[rows], shifted[rows], m_hat[rows].copy()
+            np.multiply(m[:, None], u, out=out)
+            np.subtract(block, out, out=out)
+            before += float(np.vdot(block, block))
+            after += float(np.vdot(out, out))
+            regression += float(m @ m)
+    n = len(draws)
     return NormReduction(
-        before=before,
-        after=after,
-        decrease=before - after,
-        regression_mean_square=regression_mean_square,
-        symmetrized=shifted,
+        before=before / n,
+        after=after / n,
+        decrease=(before - after) / n,
+        regression_mean_square=regression / n,
+        symmetrized=EmpiricalSample(shifted),
     )
 
 
@@ -386,17 +442,21 @@ def _symmetry_statistic(draws: np.ndarray) -> float:
     """Max over probe directions of |mean(z | z>0) + mean(z | z<0)|, z = w'X.
 
     The sums over z > 0 and z < 0 are (sum z +- sum |z|)/2, so every probe
-    is one pass over its row of z; an empty side has mean 0.
+    needs its sum, its sum of |z| and its sign counts, accumulated over
+    blocks of draws; an empty side has mean 0.
     """
     d = draws.shape[1]
     probes = sphere_directions(d, 16 if d <= 2 else 32, seed=0)
-    z = probes @ draws.T
-    total = z.sum(axis=1)
-    n_pos = np.maximum(np.count_nonzero(z > 0.0, axis=1), 1)
-    n_neg = np.maximum(np.count_nonzero(z < 0.0, axis=1), 1)
-    spread = np.abs(z, out=z).sum(axis=1)
-    m_pos = (total + spread) / (2 * n_pos)
-    m_neg = (total - spread) / (2 * n_neg)
+    total, spread = np.zeros(len(probes)), np.zeros(len(probes))
+    n_pos, n_neg = np.zeros(len(probes), dtype=np.intp), np.zeros(len(probes), dtype=np.intp)
+    for rows in _row_blocks(len(draws), len(probes)):
+        z = probes @ draws[rows].T
+        total += z.sum(axis=1)
+        n_pos += np.count_nonzero(z > 0.0, axis=1)
+        n_neg += np.count_nonzero(z < 0.0, axis=1)
+        spread += np.abs(z, out=z).sum(axis=1)
+    m_pos = (total + spread) / (2 * np.maximum(n_pos, 1))
+    m_neg = (total - spread) / (2 * np.maximum(n_neg, 1))
     return float(np.abs(m_pos + m_neg).max())
 
 

@@ -5,13 +5,15 @@ with P the projection onto the hyperplane orthogonal to u.  For Gaussians
 the conditional expectation is linear, so the step is a closed-form linear
 map: the covariance becomes A S A' with A = I - c u u' S^-1 P and
 1/c = -u'S^-1 u, and the mean loses its u-component.  The regression
-behind A is one least-squares solve on a factor F of S (F'F = S) in a
-Householder basis of u-perp (directions._complement_rows); the sample step
-'exact_linear' runs the same solve on its centred draws, so it maps the
-sample's mean and 1/N covariance exactly as this module maps a Gaussian state.  Symmetrizing along
-the direction bisecting two eigenvectors replaces that eigenvalue pair by
-its arithmetic and harmonic means; iterating drives the law to spherical
-symmetry with the determinant conserved.
+behind A is one least-squares solve on the triangular factor of S in the
+frame of a Householder basis of u-perp (directions._complement_rows) and
+u; the sample step 'exact_linear' runs the same solve on the triangle of
+its centred draws, built by QR one block of rows at a time, so it maps the
+sample's mean and 1/N covariance exactly as this module maps a Gaussian
+state.  Symmetrizing along the direction bisecting two eigenvectors
+replaces that eigenvalue pair by its arithmetic and harmonic means;
+iterating drives the law to spherical symmetry with the determinant
+conserved.
 """
 
 from __future__ import annotations
@@ -103,37 +105,45 @@ def complement_basis(u) -> np.ndarray:
     return _complement_rows(_check_unit(u))
 
 
-def _complement_regression(factor: np.ndarray, u: np.ndarray) -> tuple[float, np.ndarray]:
-    """The regression of u'X on P X, from any factor F with F'F proportional to cov X.
+def _complement_regression(R: np.ndarray, n: int, basis: np.ndarray) -> tuple[float, np.ndarray]:
+    """The regression of u'X on P X, from the triangle R of n rows of (B X, u'X).
 
-    With B = complement_basis(u), least squares of F u on F B' gives the
-    slope beta of u'X on the coordinates B X (the minimum-norm one when
-    F B' is rank-deficient).  Returns (c, coeff_row) with
-    c = -||F u - F B' beta||^2 and coeff_row = B' beta, a vector in u-perp,
-    so E[u'X | P X] = coeff_row . X for centered X.
+    B = basis = complement_basis(u).  For any factor F with F'F proportional
+    to cov X, A = [F B', F u] holds n rows of those coordinates, and R is
+    upper triangular with R'R = A'A: for a Gaussian, the Cholesky factor of
+    its covariance in the frame (B', u) (`regression_coefficient`); for a
+    sample, the blocked QR of its centred draws in that frame, which never
+    forms their covariance (`empirical._conditional_mean`).  With
+    R = [[R11, r12], [0, r22]], least squares of F u on F B' has slope
+    beta = R11^+ r12, the minimum-norm one when F B' is rank-deficient:
+    singular values of R11, which are those of F B', at most
+    eps max(n, d - 1) times the largest count as zero, as in lstsq on F B'.
+    Returns (c, coeff_row) with c = -||F u - F B' beta||^2
+    = -(||r12 - R11 beta||^2 + r22^2) and coeff_row = B' beta, a vector in
+    u-perp, so E[u'X | P X] = coeff_row . X for centered X.
     """
-    basis = complement_basis(u)
-    y = factor @ u
-    beta, *_ = np.linalg.lstsq(factor @ basis.T, y, rcond=None)
-    coeff_row = beta @ basis
-    resid = y - factor @ coeff_row
+    rcond = np.finfo(float).eps * max(n, len(R) - 1)
+    beta, *_ = np.linalg.lstsq(R[:-1, :-1], R[:-1, -1], rcond=rcond)
+    resid = R[:-1, -1] - R[:-1, :-1] @ beta
     with np.errstate(over="ignore"):  # a residual variance past float64 is inf
-        return -float(resid @ resid), coeff_row
+        return -float(resid @ resid + R[-1, -1] ** 2), beta @ basis
 
 
 def regression_coefficient(cov: np.ndarray, u) -> tuple[float, np.ndarray]:
     """The linear regression of u'X on P X for centered X ~ N(0, cov).
 
     Returns (c, coeff_row) from `_complement_regression` on the Cholesky
-    factor F = L' of cov = L L', so F'F = cov and -c is the residual
-    variance of u'X given P X: 1/c = -u'cov^-1 u (so c < 0), and
-    E[u'X | P X] = coeff_row . P X.
+    factor R of cov in the frame (B', u), R'R = [B; u'] cov [B', u], so -c
+    is the residual variance of u'X given P X: 1/c = -u'cov^-1 u (so
+    c < 0), and E[u'X | P X] = coeff_row . P X.
     """
     u = _check_unit(u)
     cov = np.asarray(cov, dtype=float)
     if u.size != cov.shape[0]:
         raise ValueError(f"direction has dimension {u.size}, covariance has {cov.shape[0]}")
-    return _complement_regression(np.linalg.cholesky(cov).T, u)
+    basis = complement_basis(u)
+    frame = np.vstack([basis, u]).T
+    return _complement_regression(np.linalg.cholesky(frame.T @ cov @ frame).T, u.size, basis)
 
 
 def symmetrize_gaussian(state: GaussianState, u) -> GaussianState:

@@ -30,6 +30,7 @@ from .errors import DegenerateCloudError, ZonomedError
 # importable from this module: perfbench/tracing.py wraps them.
 from .zonotope import (
     _CHUNK,
+    _SOLVE_BYTES,
     PointCloud,
     _minors,
     _minors_size,
@@ -54,10 +55,6 @@ _EPS = np.finfo(float).eps
 _SCREEN_STEP = 0.05
 _SCREEN_XATOL = 1e-4
 _SCREEN_FATOL = 1e-8
-
-# Bytes the face forms or the polar tables of one solve may take while they
-# are built; larger problems fail before any form or table is built.
-_SOLVE_BYTES = 1 << 29
 
 # Directions of the polar surrogate.  perfbench/reference.py recomputes the
 # planar surrogate on 1024 equal-angle directions, so this must stay 1024.

@@ -35,7 +35,8 @@ j-volume of the parallelepiped G_S spans.  One kernel computes it:
   of consecutive smaller blocks is wedged in one pair of calls, so a call's
   fixed cost does not grow with the number of small blocks.  No array has a
   row per (j-1)- or j-subset, and no result depends on how blocks are
-  sliced or grouped.
+  sliced or grouped.  A call whose minor tables would take more than
+  _SOLVE_BYTES fails with ZonomedError before any of them is built.
 
 The kernel takes a batch of generator sets at once: the Monte Carlo
 estimator's projected draws, or the discrepancy zonotopes at a batch of
@@ -67,10 +68,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .directions import _complement_rows
+from .errors import ZonomedError
 
 # Elements per temporary array of the subset-volume kernel and of a face-form
 # evaluation, which take larger problems in slices; exact V_j ignores it.
 _CHUNK = 1 << 16
+
+# Bytes the kernel's minor tables, the face forms or the polar tables of one
+# call may take while they are built; larger problems fail before any table
+# is built.  medians takes its solve budget from here.
+_SOLVE_BYTES = 1 << 29
 
 # Exact V_j rescales generators whose max|g|^j lies outside 2^(+-_SAFE_EXPONENT),
 # so that squared j-minors (up to about j^j max|g|^(2j)) stay finite and normal.
@@ -338,7 +345,9 @@ def _volume_terms(H: np.ndarray, j: int):
     own largest generator, are broadcast against the generators after the
     run's first block, and the pairs whose generator does not follow the
     row's own are dropped.  A term adds its squared minors coordinate by
-    coordinate, so no term depends on _CHUNK.
+    coordinate, so no term depends on _CHUNK.  A call whose minors would
+    take more than _SOLVE_BYTES raises ZonomedError, on the first term
+    asked for and before any table is built.
     """
     b, m, d = H.shape
     if j == 1:
@@ -347,13 +356,23 @@ def _volume_terms(H: np.ndarray, j: int):
     if d == 2:
         yield _planar_terms(H).T
         return
-    G = np.ascontiguousarray(H.transpose(2, 1, 0))  # the 1-minors, (d, m, b)
-    lower = _minors(G, j - 2)
-    counts = [math.comb(l, j - 2) for l in range(j - 2, m - 1)]
 
     def width(start):  # temporary elements per (j-1)-subset of a run
         return (j * math.comb(d, j) * (m + 1 - j - start) + (j - 1) * math.comb(d, j - 1)) * b
 
+    # the (j-2)-minor table as _minors builds it, then beside it one run's or
+    # slice's wedges, terms and sum buffers, each of at most as many rows as
+    # fit in _CHUNK elements (one at least) or as there are (j-1)-subsets
+    rows = min(math.comb(m - 1, j - 1), max(1, _CHUNK // width(0)))
+    held = math.comb(d, j - 2) * math.comb(m, j - 2) * b + 4 * rows * width(0)
+    need = 8 * max(_minors_size(d, m, j - 2, b), held)
+    if need > _SOLVE_BYTES:
+        raise ZonomedError(
+            f"V_{j} of {m} generators in R^{d} needs {need} bytes of minors, over {_SOLVE_BYTES}"
+        )
+    G = np.ascontiguousarray(H.transpose(2, 1, 0))  # the 1-minors, (d, m, b)
+    lower = _minors(G, j - 2)
+    counts = [math.comb(l, j - 2) for l in range(j - 2, m - 1)]
     for start, stop in _runs(counts, width):
         l = j - 2 + start
         owner, first = _ragged(counts[start:stop])  # row i has largest element l + owner[i]
@@ -457,11 +476,15 @@ def _exact_sum(blocks) -> list[float]:
 
     _extract compresses each block, with no error, into a few rows with the
     same column sums, and math.fsum rounds each column of the rows left
-    once.  No array holds every term.
+    once.  No array holds every term, and every 64 blocks the rows kept so
+    far are compressed again, so they do not grow with the number of blocks.
     """
     partials: list[np.ndarray] = []
-    for block in blocks:
+    for count, block in enumerate(blocks, 1):
         _extract(block, partials)
+        if count % 64 == 0:
+            kept, partials = np.concatenate(partials), []
+            _extract(kept, partials)
     return [math.fsum(column) for column in np.concatenate(partials).T.tolist()]
 
 

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import zonomed
-from zonomed import cli, empirical
+from zonomed import cli, empirical, zonotope
 from zonomed.cli import _read_csv, main
 from zonomed.empirical import EmpiricalSample, RegressorConfig, symmetrize_sample
 
@@ -223,6 +223,14 @@ class TestIntrinsicCommand:
         gens = np.random.default_rng(0).standard_normal((40, 3)) * scale
         err = overflow_error(tmp_path, monkeypatch, capsys, ["intrinsic"], gens)
         assert f"computing V_{j} of these generators overflows float64" in err
+
+    def test_oversized_exact_volume_exit_2(self, tmp_path, monkeypatch, capsys):
+        # under a budget of 64 KiB, V_1 is computed (it takes no minors), but
+        # V_2 of 40 generators in R^4 is refused before its tables are built
+        monkeypatch.setattr(zonotope, "_SOLVE_BYTES", 1 << 16)
+        gens = np.random.default_rng(0).standard_normal((40, 4))
+        err = overflow_error(tmp_path, monkeypatch, capsys, ["intrinsic"], gens)
+        assert "V_2 of 40 generators in R^4 needs" in err and f"over {1 << 16}" in err
 
     def test_mc_without_seed_rejected(self, gens_csv, tmp_path):
         code = main(["intrinsic", "--input", gens_csv, "--mc", "100"])

@@ -388,7 +388,7 @@ class TestKnnConditionalMean:
                 return got
 
         monkeypatch.setattr(empirical, "cKDTree", CountingTree)
-        monkeypatch.setattr(empirical, "_QUERY_NEIGHBOURS", block)
+        monkeypatch.setattr(empirical, "_BLOCK", block)
         blocked = _conditional_mean(sample, u, cfg)
         assert len(queries) > 1 and max(queries) == block // k and sum(queries) == sample.n
         cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else -1

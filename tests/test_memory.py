@@ -17,7 +17,14 @@ import numpy as np
 from zonomed import cli, empirical, zonotope
 from zonomed.cli import _read_csv, main
 from zonomed.directions import sphere_directions
-from zonomed.empirical import EmpiricalSample, NormReduction, RegressorConfig, _conditional_mean
+from zonomed.empirical import (
+    EmpiricalSample,
+    NormReduction,
+    RegressorConfig,
+    _conditional_mean,
+    _symmetry_statistic,
+    norm_reduction_check,
+)
 from zonomed.medians import _face_forms, _polar_evaluator, vj_objective
 from zonomed.polygon import ConvexPolygon2D, distances_to_polygon
 from zonomed.zonotope import PointCloud, intrinsic_volume_of_generators
@@ -68,16 +75,48 @@ def test_sample_writer(tmp_path, monkeypatch):
 
 def test_knn_conditional_mean():
     # two full blocks, so one block's indices must be freed before the next query
-    k = 128
-    draws = np.random.default_rng(4).standard_normal((2 * (empirical._QUERY_NEIGHBOURS // k), 3))
+    k = 16
+    draws = np.random.default_rng(4).standard_normal((2 * (empirical._BLOCK // k), 3))
     sample = EmpiricalSample(draws)
     u = np.array([0.0, 0.6, 0.8])
     empirical.cKDTree  # imports scipy before the tracing starts
     out, peak = traced_peak(lambda: _conditional_mean(sample, u, RegressorConfig("knn", k=k)))
     # a block's distances and indices, 16 bytes per neighbour, plus the
-    # projections and the tree's copy of them
-    block = 16 * empirical._QUERY_NEIGHBOURS
-    assert peak <= block + 6 * draws.nbytes + out.nbytes
+    # projections, u'X and the tree's indices, 4/3 of the draws in R^3
+    block = 16 * empirical._BLOCK
+    assert peak <= block + 2 * draws.nbytes + out.nbytes
+
+
+def test_exact_linear():
+    # the shifted draws go into one buffer, which first holds the
+    # conditional means; the regression, the spread and roundoff checks and
+    # the mean squares run over blocks, so no more than a few blocks of
+    # _BLOCK floats are held beside it, whatever N is
+    u = np.array([0.0, 0.6, 0.8])
+    for n in (50_000, 200_000):
+        sample = EmpiricalSample(np.random.default_rng(n).standard_normal((n, 3)))
+        cfg = RegressorConfig("exact_linear")
+        reduction, peak = traced_peak(lambda: norm_reduction_check(sample, u, cfg))
+        assert peak <= reduction.symmetrized.draws.nbytes + 4 * 8 * empirical._BLOCK
+
+
+def test_symmetry_statistic():
+    # the probe values go over blocks of draws, so the peak does not grow with N
+    for n in (10_000, 200_000):
+        draws = np.random.default_rng(n).standard_normal((n, 3))
+        _, peak = traced_peak(lambda: _symmetry_statistic(draws))
+        assert peak <= 3 * 8 * empirical._BLOCK
+
+
+def test_exact_sum():
+    # the rows kept from each block are compressed again every 64 blocks, so
+    # they do not grow with the number of blocks
+    rng = np.random.default_rng(7)
+    for count in (64, 6400):
+        blocks = [rng.random((64, 1)) * 10.0 ** rng.integers(-20, 20) for _ in range(count)]
+        expected = math.fsum(np.concatenate(blocks).ravel().tolist())
+        total, peak = traced_peak(lambda: zonotope._exact_sum(iter(blocks)))
+        assert total == [expected] and peak <= 64 * 1024
 
 
 def test_polar_tables():

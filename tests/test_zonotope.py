@@ -1,8 +1,13 @@
 """Exact and Monte Carlo intrinsic volumes of zonotopes."""
 
 import itertools
+import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +21,7 @@ from zonomed import (
     unit_ball_volume,
     wills_functional,
 )
+import zonomed
 from zonomed import zonotope
 from zonomed.zonotope import MonteCarloEstimate, intrinsic_volume_of_generators
 from conftest import random_zonotope, rotation_matrix, subset_volume_sum
@@ -607,3 +613,40 @@ def test_pivot_batch_has_the_bits_of_single_calls():
     X = np.vstack([np.random.default_rng(6).standard_normal((397, 3)), pts[:3]])
     values = zonotope.discrepancy_volumes(pts, X, 3)
     assert values.tolist() == [intrinsic_volume_of_generators(x - pts, 3) for x in X]
+
+
+_OVERSIZED = """
+import json, resource, time
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+import numpy as np
+from zonomed.errors import ZonomedError
+from zonomed.zonotope import intrinsic_volume_of_generators
+refusals = []
+for m, j in [(14, 14), (15, 15)]:
+    gens = np.random.default_rng(0).standard_normal((m, 15))
+    start = time.perf_counter()
+    try:
+        intrinsic_volume_of_generators(gens, j)
+    except ZonomedError as refused:
+        refusals.append([time.perf_counter() - start, str(refused)])
+print(json.dumps(refusals))
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs resource.setrlimit")
+def test_oversized_exact_volume_refused_up_front():
+    # exact V_14 of 14 generators in R^15 peaked at 1751 MiB, and V_15 of 15
+    # ran out of a 3 GiB address space; under a 1 GiB limit both must be
+    # refused at once, naming the sizes, before any minor table is built
+    src = str(Path(zonomed.__file__).resolve().parent.parent)
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", _OVERSIZED], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    refusals = json.loads(proc.stdout)
+    assert [message.split(" needs ")[0] for _, message in refusals] == [
+        "V_14 of 14 generators in R^15", "V_15 of 15 generators in R^15"]
+    assert all(seconds < 1.0 for seconds, _ in refusals)
+    assert all(f"over {zonotope._SOLVE_BYTES}" in message for _, message in refusals)
+
