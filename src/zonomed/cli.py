@@ -37,7 +37,7 @@ from .polygon import polygon_from_json_dict
 # wills_functional is not called here (``intrinsic`` sums the V_j it has
 # already computed), but it stays importable from this module:
 # perfbench/tracing.py wraps it.
-from .zonotope import Zonotope, intrinsic_volume, mc_intrinsic_volume, wills_functional
+from .zonotope import Zonotope, _refuse_oversized, intrinsic_volume, mc_intrinsic_volume, wills_functional
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -180,6 +180,7 @@ def _cmd_intrinsic(args) -> int:
         raise ValueError("--mc requires --seed for reproducibility")
     zono = Zonotope(gens)
     d = zono.dim
+    _refuse_oversized(zono.num_generators, d)  # every order, before V_1
     volumes = [intrinsic_volume(zono, j) for j in range(d + 1)]
     payload = {
         "config": _config(args),

@@ -203,9 +203,10 @@ def _face_forms(points: np.ndarray, orders) -> list[tuple[np.ndarray, np.ndarray
     that complement, so where C(d, j) > d - j + 1 its eigenvectors of
     eigenvalue ~1 are A_S, and ||A_S u|| = ||B_S u||.  A subset whose unit
     edges' minors vanish to round-off is dropped.  The size guard charges
-    each order's (a, w, A) and the first block's larger step, _minors on its
-    edges (_minors_size) or the B_S wedge and its eigendecomposition beside
-    W_S, w_S and the wedge's table.
+    each order's (a, w, A) and the first block's larger step: _minors on its
+    edges, whose colex blocks come in slices of at most _CHUNK products or
+    one row (_minors_size), or the B_S wedge and its eigendecomposition
+    beside W_S, w_S and the wedge's table.
     """
     n, d = points.shape
     forms = [j for j in orders if j >= 2]

@@ -28,15 +28,16 @@ j-volume of the parallelepiped G_S spans.  One kernel computes it:
   g_{s_1} ^ ... ^ g_{s_j}, whose coordinates are the j x j minors of G_S
   (Cauchy-Binet; for j = d the single minor det G_S), and
   V_j = sum_{S'} sum_{l > max S'} ||w_{S'} ^ g_l|| over the (j-1)-subsets S'.
-  In colexicographic order the S' with largest element l are the first
-  C(l, j-2) rows of the (j-2)-minor table, each wedged with g_l, and each
-  such block is wedged with every later generator at once.  A block that
-  fills the kernel's temporary budget is wedged alone, in row slices; a run
-  of consecutive smaller blocks is wedged in one pair of calls, so a call's
-  fixed cost does not grow with the number of small blocks.  No array has a
-  row per (j-1)- or j-subset, and no result depends on how blocks are
-  sliced or grouped.  A call whose minor tables would take more than
-  _SOLVE_BYTES fails with ZonomedError before any of them is built.
+  One generator, _blocks, yields the t-minors of consecutive colex
+  t-subsets: those with largest element l are the first C(l, t-1) rows of
+  the (t-1)-minor table, each wedged with g_l.  Consecutive small blocks
+  run together in one wedge call, and a block too large for the kernel's
+  temporary budget comes in row slices.  _minors fills each table from it,
+  level by level, and V_j wedges each slice of (j-1)-minors with every
+  later generator at once, so at most two adjacent minor tables and one
+  slice are held, and no result depends on how blocks are run or sliced.
+  A call whose stream would hold more than _SOLVE_BYTES (_blocks_size)
+  fails with ZonomedError before any table is built.
 
 The kernel takes a batch of generator sets at once: the Monte Carlo
 estimator's projected draws, or the discrepancy zonotopes at a batch of
@@ -225,58 +226,62 @@ def _wedge(W: np.ndarray, G: np.ndarray, t: int) -> np.ndarray:
     return X
 
 
-def _runs(counts, width):
-    """Split consecutive blocks of counts[i] rows into runs [start, stop)
-    whose temporaries, rows times width(start) elements, stay within _CHUNK;
-    a block too large for that runs alone."""
-    start, rows = 0, 0
-    for i, count in enumerate(counts):
-        if i > start and (rows + count) * width(start) > _CHUNK:
-            yield start, i
-            start, rows = i, 0
-        rows += count
-    if len(counts) > start:
-        yield start, len(counts)
+def _blocks(G: np.ndarray, lower: np.ndarray, t: int, width):
+    """Yield (W, largest): the t-minors W (C(d, t), k, b) of k consecutive
+    colex t-subsets of G (d, m, b), from its (t-1)-minor table ``lower``,
+    and the largest generator of each row.  The block with largest element
+    l is the first C(l, t-1) rows of ``lower`` joined with g_l.  Blocks run
+    together while their rows, width(l) elements each for l the run's
+    first, fit in _CHUNK; a larger block comes in slices of as many rows as
+    fit, one at least.  Each run or slice is one _wedge call, every row
+    paired with its own generator, so no minor depends on the slicing."""
+    m = G.shape[1]
+    colex = np.array([math.comb(k, t) for k in range(m + 1)], dtype=np.intp)  # rows before g_k's block
+    l = t - 1
+    while l < m:
+        rows = max(1, _CHUNK // width(l))  # that fit in _CHUNK, one at least
+        stop = max(l + 1, int(np.searchsorted(colex, colex[l] + rows, "right")) - 1)
+        largest = np.repeat(np.arange(l, stop), colex[l + 1 : stop + 1] - colex[l:stop])
+        first = np.arange(colex[l], colex[stop]) - colex[largest]
+        for s in range(0, len(largest), rows):
+            block = largest[s : s + rows]
+            yield _wedge(lower[:, first[s : s + rows]], G[:, block], t - 1), block
+        l = stop
 
 
-def _ragged(counts) -> tuple[np.ndarray, np.ndarray]:
-    """(i, k) for every k < counts[i], in order of i and then k."""
-    counts = np.asarray(counts, dtype=np.intp)
-    owner = np.repeat(np.arange(len(counts)), counts)
-    return owner, np.arange(len(owner)) - (np.cumsum(counts) - counts)[owner]
+def _blocks_size(d: int, m: int, t: int, b: int, width, table: int = 0) -> int:
+    """The most elements a _blocks stream of the t-subsets of G (d, m, b)
+    holds beside G, for rows of at most 4 width(l) elements and width not
+    growing with l: the (t-1)-minor table as _minors builds it, then that
+    table and ``table`` more beside one run's indices, one slice (rows times
+    width within max(_CHUNK, width(t - 1))) and the wedge table."""
+    w = width(t - 1)
+    rows = min(math.comb(m, t), max(math.comb(m - 1, t - 1), _CHUNK // width(m - 1)))
+    held = (math.comb(d, t - 1) * math.comb(m, t - 1) * b + table + 5 * rows
+            + 4 * min(math.comb(m, t) * w, max(_CHUNK, w)) + 8 * t * math.comb(d, t))
+    return max(_minors_size(d, m, t - 1, b), held)
 
 
 def _minors(G: np.ndarray, t: int) -> np.ndarray:
     """t-minors (C(d, t), C(m, t), b) of the t-subsets of G (d, m, b) in colex
-    order; the one 0-minor is 1 and the 1-minors are G.  The block with
-    largest element l is the first C(l, t-1) rows of the (t-1)-minor table
-    joined with g_l.  Consecutive blocks whose products fit in _CHUNK
-    elements are wedged in one call, each row paired with its own generator,
-    a larger block alone, and each call fills its rows of one table."""
+    order; the one 0-minor is 1 and the 1-minors are G.  The (t-1)-minor
+    table is built first, then the t-minor table is filled from its
+    _blocks."""
     if t <= 1:
         return G if t else np.ones((1, 1, G.shape[2]))
-    lower = _minors(G, t - 1)
     d, m, b = G.shape
-    counts = [math.comb(l, t - 1) for l in range(t - 1, m)]
-    table = np.empty((math.comb(d, t), math.comb(m, t), b))
-    for start, stop in _runs(counts, lambda start: t * math.comb(d, t) * b):
-        owner, rows = _ragged(counts[start:stop])
-        at = math.comb(t - 1 + start, t)  # the subsets before block start
-        table[:, at : at + len(rows)] = _wedge(lower[:, rows], G[:, t - 1 + start + owner], t - 1)
+    lower = _minors(G, t - 1)
+    table, at = np.empty((math.comb(d, t), math.comb(m, t), b)), 0
+    for W, _ in _blocks(G, lower, t, lambda l: t * math.comb(d, t) * b):
+        table[:, at : at + W.shape[1]] = W
+        at += W.shape[1]
     return table
 
 
 def _minors_size(d: int, m: int, t: int, b: int) -> int:
-    """The most elements _minors(G, t) holds at once beside G (d, m, b): at
-    some level s, the (s-1)- and s-minor tables, one run's rows, generators,
-    indices and three _wedge products, and the wedge table as it is built."""
-    size = 0
-    for s in range(2, t + 1):
-        width = s * math.comb(d, s)  # products per row and set
-        rows = min(math.comb(m, s), max(_CHUNK // (width * b), math.comb(m - 1, s - 1)))
-        tables = (s > 2) * math.comb(d, s - 1) * math.comb(m, s - 1) + math.comb(d, s) * math.comb(m, s)
-        size = max(size, tables * b + rows * ((3 * width + math.comb(d, s - 1) + d) * b + 5) + 8 * width)
-    return size
+    """The most elements _minors(G, t) holds at once beside G (d, m, b)."""
+    table = math.comb(d, t) * math.comb(m, t) * b
+    return _blocks_size(d, m, t, b, lambda l: t * math.comb(d, t) * b, table) if t > 1 else 0
 
 
 def _upper_sorted(H: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -338,16 +343,15 @@ def _volume_terms(H: np.ndarray, j: int):
     """Yield (k, b) arrays of nonnegative terms that sum to V_j of each of the
     b generator sets in H (b, m, d), for 1 <= j <= min(m, d).
 
-    The (j-1)-subsets come in blocks by largest element l.  Consecutive
-    blocks run together while their temporaries fit in _CHUNK elements, and
-    a block too large for that runs alone in row slices.  Each run or slice
-    takes one pair of wedges: its (j-1)-subsets, every row joined with its
-    own largest generator, are broadcast against the generators after the
-    run's first block, and the pairs whose generator does not follow the
-    row's own are dropped.  A term adds its squared minors coordinate by
-    coordinate, so no term depends on _CHUNK.  A call whose minors would
-    take more than _SOLVE_BYTES raises ZonomedError, on the first term
-    asked for and before any table is built.
+    The (j-1)-subsets of every generator but the last come from _blocks,
+    whose runs and slices keep their temporaries, width(l) elements per
+    row (_volume_width), within _CHUNK.  Each run or slice's (j-1)-minors
+    are broadcast against the generators after its first row's largest,
+    and the pairs whose generator does not follow the row's own are
+    dropped.  A term adds its squared minors coordinate by coordinate, so
+    no term depends on _CHUNK.  A call whose minors would take more than
+    _SOLVE_BYTES raises ZonomedError, on the first term asked for and
+    before any table is built.
     """
     b, m, d = H.shape
     if j == 1:
@@ -356,34 +360,42 @@ def _volume_terms(H: np.ndarray, j: int):
     if d == 2:
         yield _planar_terms(H).T
         return
-
-    def width(start):  # temporary elements per (j-1)-subset of a run
-        return (j * math.comb(d, j) * (m + 1 - j - start) + (j - 1) * math.comb(d, j - 1)) * b
-
-    # the (j-2)-minor table as _minors builds it, then beside it one run's or
-    # slice's wedges, terms and sum buffers, each of at most as many rows as
-    # fit in _CHUNK elements (one at least) or as there are (j-1)-subsets
-    rows = min(math.comb(m - 1, j - 1), max(1, _CHUNK // width(0)))
-    held = math.comb(d, j - 2) * math.comb(m, j - 2) * b + 4 * rows * width(0)
-    need = 8 * max(_minors_size(d, m, j - 2, b), held)
-    if need > _SOLVE_BYTES:
-        raise ZonomedError(
-            f"V_{j} of {m} generators in R^{d} needs {need} bytes of minors, over {_SOLVE_BYTES}"
-        )
+    width = _volume_width(b, m, d, j)  # refuses before any table is built
     G = np.ascontiguousarray(H.transpose(2, 1, 0))  # the 1-minors, (d, m, b)
-    lower = _minors(G, j - 2)
-    counts = [math.comb(l, j - 2) for l in range(j - 2, m - 1)]
-    for start, stop in _runs(counts, width):
-        l = j - 2 + start
-        owner, first = _ragged(counts[start:stop])  # row i has largest element l + owner[i]
-        rows = max(1, _CHUNK // width(start))
-        for s in range(0, len(owner), rows):
-            block = owner[s : s + rows]
-            W = _wedge(lower[:, first[s : s + rows]], G[:, l + block], j - 2)
-            X = _wedge(W[:, :, None], G[:, None, l + 1 :], j - 1).reshape(math.comb(d, j), -1, b)
-            terms = np.abs(X[0]) if j == d else np.sqrt(sum(x * x for x in X))
-            later = block[:, None] <= np.arange(m - 1 - l)  # generator l + 1 + k follows row i
-            yield terms.compress(later.ravel(), axis=0)
+    F = G[:, :-1]  # every generator with a later one
+    for W, largest in _blocks(F, _minors(F, j - 2), j - 1, width):
+        l = int(largest[0])
+        X = _wedge(W[:, :, None], G[:, None, l + 1 :], j - 1).reshape(math.comb(d, j), -1, b)
+        terms = np.abs(X[0]) if j == d else np.sqrt(sum(x * x for x in X))
+        later = largest[:, None] < np.arange(l + 1, m)  # generator l + 1 + k follows row i
+        yield terms.compress(later.ravel(), axis=0)
+
+
+def _volume_width(b: int, m: int, d: int, j: int):
+    """width(l) of V_j's minors, 2 <= j <= min(m, d), for b sets of m
+    generators in R^d: the elements per (j-1)-subset of a run that starts at
+    largest generator l, its minors and their wedges with the m - 1 - l
+    later generators.  Raises ZonomedError, naming the bytes, when the
+    _blocks stream of all but the last generator would pass _SOLVE_BYTES."""
+
+    def width(l):
+        return (j * math.comb(d, j) * (m - 1 - l) + (j - 1) * math.comb(d, j - 1)) * b
+
+    need = 8 * _blocks_size(d, m - 1, j - 1, b, width)
+    if need > _SOLVE_BYTES:
+        raise ZonomedError(f"V_{j} of {m} generators in R^{d} needs {need} bytes of minors, "
+                           f"over {_SOLVE_BYTES}")
+    return width
+
+
+def _refuse_oversized(m: int, d: int) -> None:
+    """Charge every exact V_j, 2 <= j <= min(m, d), of m generators in R^d,
+    as _volume_width does, before any is computed.  The planar V_2 takes no
+    minors; a pivoted V_3 in R^3 is charged as minors, which passes the
+    budget only where V_2's charge already does (from m = 3.4 M)."""
+    if d > 2:
+        for j in range(2, min(m, d) + 1):
+            _volume_width(1, m, d, j)
 
 
 def intrinsic_volume(zonotope: Zonotope, j: int) -> float:
@@ -573,7 +585,9 @@ def wills_functional(zonotope: Zonotope) -> float:
 
 
 def wills_of_generators(generators: np.ndarray, dim: int) -> float:
-    """wills_functional on a raw generator array."""
+    """wills_functional on a raw generator array; every V_j is charged
+    against _SOLVE_BYTES before V_1 is computed."""
+    _refuse_oversized(len(generators), dim)
     return 1.0 + math.fsum(
         intrinsic_volume_of_generators(generators, j) for j in range(1, dim + 1)
     )

@@ -18,6 +18,7 @@ import zonomed
 from zonomed import cli, empirical, zonotope
 from zonomed.cli import _read_csv, main
 from zonomed.empirical import EmpiricalSample, RegressorConfig, symmetrize_sample
+from conftest import record_calls
 
 
 @pytest.fixture
@@ -225,12 +226,24 @@ class TestIntrinsicCommand:
         assert f"computing V_{j} of these generators overflows float64" in err
 
     def test_oversized_exact_volume_exit_2(self, tmp_path, monkeypatch, capsys):
-        # under a budget of 64 KiB, V_1 is computed (it takes no minors), but
-        # V_2 of 40 generators in R^4 is refused before its tables are built
+        # under a budget of 64 KiB, V_2 of 40 generators in R^4 is the first
+        # order refused, before any table is built
         monkeypatch.setattr(zonotope, "_SOLVE_BYTES", 1 << 16)
         gens = np.random.default_rng(0).standard_normal((40, 4))
         err = overflow_error(tmp_path, monkeypatch, capsys, ["intrinsic"], gens)
         assert "V_2 of 40 generators in R^4 needs" in err and f"over {1 << 16}" in err
+
+    def test_every_order_charged_before_v1(self, tmp_path, monkeypatch, capsys):
+        # 16 generators in R^16: V_1 to V_8 fit the budget, but V_9's minors
+        # would take 917 MB; every order is charged before V_1 is computed,
+        # so the command exits at once, naming V_9 and its bytes
+        calls = record_calls(monkeypatch, zonotope, "intrinsic_volume_of_generators")
+        gens = np.random.default_rng(0).standard_normal((16, 16))
+        start = time.perf_counter()
+        err = overflow_error(tmp_path, monkeypatch, capsys, ["intrinsic"], gens)
+        assert time.perf_counter() - start < 1.0
+        assert "V_9 of 16 generators in R^16 needs 917379320 bytes" in err
+        assert calls["intrinsic_volume_of_generators"] == []
 
     def test_mc_without_seed_rejected(self, gens_csv, tmp_path):
         code = main(["intrinsic", "--input", gens_csv, "--mc", "100"])

@@ -10,6 +10,7 @@ on the allocator.
 """
 
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -17,6 +18,7 @@ import numpy as np
 from zonomed import cli, empirical, zonotope
 from zonomed.cli import _read_csv, main
 from zonomed.directions import sphere_directions
+from zonomed.errors import ZonomedError
 from zonomed.empirical import (
     EmpiricalSample,
     NormReduction,
@@ -147,11 +149,30 @@ def test_polar_evaluation():
 KERNEL_PEAK = {(400, 3, 3): 2.60 * MB, (100, 4, 4): 2.68 * MB}
 
 
+def exact_charge(gens, j):
+    """The bytes the exact kernel's size guard charges for V_j of gens, read
+    from its refusal under a budget of none."""
+    budget, zonotope._SOLVE_BYTES = zonotope._SOLVE_BYTES, 0
+    try:
+        intrinsic_volume_of_generators(gens, j)
+    except ZonomedError as refused:
+        return int(re.search(r"needs (\d+) bytes", str(refused))[1])
+    finally:
+        zonotope._SOLVE_BYTES = budget
+    raise AssertionError("no budget, yet V_j was computed")
+
+
 def test_exact_kernel():
     for (m, d, j), bound in KERNEL_PEAK.items():
         gens = np.random.default_rng(m + d).standard_normal((m, d))
         value, peak = traced_peak(lambda: intrinsic_volume_of_generators(gens, j))
         assert math.isfinite(value) and peak <= bound
+    # V_8 of 12 generators in R^12: the largest colex block of its 6-minor
+    # table takes 1.4 M products, far past _CHUNK, and comes in slices, so
+    # the build holds no more than the size guard charges (8.4 MB)
+    gens = np.random.default_rng(24).standard_normal((12, 12))
+    value, peak = traced_peak(lambda: intrinsic_volume_of_generators(gens, 8))
+    assert math.isfinite(value) and peak <= exact_charge(gens, 8)
 
 
 def test_batched_objective():

@@ -22,7 +22,7 @@ from zonomed import (
     wills_functional,
 )
 import zonomed
-from zonomed import zonotope
+from zonomed import medians, zonotope
 from zonomed.zonotope import MonteCarloEstimate, intrinsic_volume_of_generators
 from conftest import random_zonotope, rotation_matrix, subset_volume_sum
 
@@ -333,6 +333,23 @@ def test_volumes_do_not_depend_on_chunk(monkeypatch, gens):
     assert volumes(1 << 30) == default
 
 
+@pytest.mark.parametrize("chunk", [1, 1 << 30], ids=["chunk-1", "one-run"])
+def test_minors_and_face_forms_do_not_depend_on_chunk(monkeypatch, chunk):
+    # at the default block size a 6-minor row of two sets in R^12 takes
+    # 11 088 products and in R^15 60 060, so the larger colex blocks come in
+    # slices; at 1 every row is a slice, at 2^30 every table is one run
+    G = np.random.default_rng(12).standard_normal((12, 11, 2))
+    pts = np.random.default_rng(8).standard_normal((8, 15))
+
+    def tables():
+        forms = [arr for group in medians._face_forms(pts, (7,)) for arr in group]
+        return [zonotope._minors(G, t) for t in range(7)] + forms
+
+    default = tables()
+    monkeypatch.setattr(zonotope, "_CHUNK", chunk)
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(tables(), default, strict=True))
+
+
 @settings(max_examples=60, deadline=None)
 @given(gens=_generator_sets(dims=st.just(2)))
 def test_planar_prefix_sum_matches_pairs(gens):
@@ -616,37 +633,41 @@ def test_pivot_batch_has_the_bits_of_single_calls():
 
 
 _OVERSIZED = """
-import json, resource, time
+import json, math, resource, time
 resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 import numpy as np
 from zonomed.errors import ZonomedError
-from zonomed.zonotope import intrinsic_volume_of_generators
+from zonomed.zonotope import intrinsic_volume_of_generators, wills_of_generators
+gens = np.random.default_rng(0).standard_normal((14, 15))
+computed = [intrinsic_volume_of_generators(gens, 14), math.sqrt(np.linalg.det(gens @ gens.T))]
 refusals = []
-for m, j in [(14, 14), (15, 15)]:
-    gens = np.random.default_rng(0).standard_normal((m, 15))
+for call in [lambda: intrinsic_volume_of_generators(np.random.default_rng(0).standard_normal((16, 15)), 15),
+             lambda: wills_of_generators(np.random.default_rng(0).standard_normal((16, 16)), 16)]:
     start = time.perf_counter()
     try:
-        intrinsic_volume_of_generators(gens, j)
+        call()
     except ZonomedError as refused:
         refusals.append([time.perf_counter() - start, str(refused)])
-print(json.dumps(refusals))
+print(json.dumps([computed, refusals]))
 """
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs resource.setrlimit")
 def test_oversized_exact_volume_refused_up_front():
-    # exact V_14 of 14 generators in R^15 peaked at 1751 MiB, and V_15 of 15
-    # ran out of a 3 GiB address space; under a 1 GiB limit both must be
-    # refused at once, naming the sizes, before any minor table is built
+    # under a 1 GiB address-space limit, V_14 of 14 generators in R^15 (its
+    # minor tables about 155 MiB, sliced) is computed and equals
+    # sqrt(det G G'); V_15 of 16 generators in R^15 (about 637 MiB) is
+    # refused at once, and so is the Wills functional of 16 generators in
+    # R^16, at its first oversized order, before V_1 is computed
     src = str(Path(zonomed.__file__).resolve().parent.parent)
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     proc = subprocess.run([sys.executable, "-c", _OVERSIZED], env=env, capture_output=True,
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    refusals = json.loads(proc.stdout)
+    (got, expected), refusals = json.loads(proc.stdout)
+    assert abs(got - expected) <= 1e-12 * expected
     assert [message.split(" needs ")[0] for _, message in refusals] == [
-        "V_14 of 14 generators in R^15", "V_15 of 15 generators in R^15"]
+        "V_15 of 16 generators in R^15", "V_9 of 16 generators in R^16"]
     assert all(seconds < 1.0 for seconds, _ in refusals)
     assert all(f"over {zonotope._SOLVE_BYTES}" in message for _, message in refusals)
-
